@@ -165,12 +165,18 @@ def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
 # -- arithmetic ----------------------------------------------------------
 
 
+def _on_grad_path(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
+
+
 def add(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
     data = a.data + b.data
 
     def vjp(u):
-        return (_unbroadcast(u, a.data.shape), _unbroadcast(u, b.data.shape))
+        return tuple(
+            _unbroadcast(u, t.data.shape) if _on_grad_path(t) else None for t in (a, b)
+        )
 
     return _make(data, (a, b), vjp)
 
@@ -181,14 +187,15 @@ def mul(a, b) -> Tensor:
 
     def vjp(u):
         return (
-            _unbroadcast(u * b.data, a.data.shape),
-            _unbroadcast(u * a.data, b.data.shape),
+            _unbroadcast(u * b.data, a.data.shape) if _on_grad_path(a) else None,
+            _unbroadcast(u * a.data, b.data.shape) if _on_grad_path(b) else None,
         )
 
     return _make(data, (a, b), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus ``bias`` broadcast over the rows when given."""
     a, b = ensure_tensor(a), ensure_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ContractError("matmul operands must be at least 2-D")
@@ -197,13 +204,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
         )
     data = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        data += bias.data
+        parents = (a, b, bias)
 
     def vjp(u):
         ga = _unbroadcast(u @ np.swapaxes(b.data, -1, -2), a.data.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ u, b.data.shape)
-        return (ga, gb)
+        if bias is None:
+            return (ga, gb)
+        return (ga, gb, _unbroadcast(u, bias.data.shape))
 
-    return _make(data, (a, b), vjp)
+    return _make(data, parents, vjp)
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -258,12 +271,21 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact (erf) form."""
     a = ensure_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def vjp(u):
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return (u * (cdf + x * pdf),)
+        grad = -0.5 * x
+        grad *= x
+        np.exp(grad, out=grad)
+        grad /= math.sqrt(2.0 * math.pi)  # the normal pdf at x
+        grad *= x
+        grad += cdf
+        grad *= u
+        return (grad,)
 
     return _make(data, (a,), vjp)
 
@@ -273,9 +295,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = ensure_tensor(a)
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax input contains non-finite values")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def vjp(u):
         inner = (u * data).sum(axis=axis, keepdims=True)
@@ -296,40 +318,49 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a = ensure_tensor(a)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # sums divided by n are numpy's means, without their per-call overhead
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def vjp(u):
         lead = tuple(range(u.ndim - 1))
         ggain = (u * xhat).sum(axis=lead) if lead else u * xhat
         gbias = u.sum(axis=lead) if lead else u.copy()
         dxhat = u * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
+        dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
+        dx *= inv
         return (dx, ggain, gbias)
 
     return _make(data, (a, gain, bias), vjp)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
+def dropout(a: Tensor, keep: np.ndarray | None, rate: float) -> Tensor:
+    """Inverted dropout under a drawn boolean ``keep`` mask; identity when None.
+
+    Kept entries are scaled by 1 / (1 - rate). The mask is a constant: it
+    gets no gradient, and only its booleans are held for the backward pass.
+    """
+    if keep is None:
         return a
-    if rate >= 1.0:
-        raise ContractError("dropout rate must be < 1")
+    if not 0.0 < rate < 1.0:
+        raise ContractError("dropout rate must be in (0, 1)")
     a = ensure_tensor(a)
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    data = a.data * keep
+    if keep.shape != a.data.shape:
+        raise ContractError(f"dropout mask {keep.shape} does not match {a.data.shape}")
+    scale = 1.0 / (1.0 - rate)
+    data = a.data * scale
+    data *= keep
 
     def vjp(u):
-        return (u * keep,)
+        grad = u * scale
+        grad *= keep
+        return (grad,)
 
     return _make(data, (a,), vjp)
 
@@ -382,16 +413,15 @@ def cross_entropy_from_logits(
         raise ContractError("cross entropy expects (N, V) logits and (N,) targets")
     if targets.size == 0:
         raise ContractError("cross entropy over zero rows")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + x.max(axis=-1)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    lse = np.log(e.sum(axis=-1)) + x.max(axis=-1)
     rows = np.arange(x.shape[0])
     losses = lse - x[rows, targets]
     data = np.asarray(losses.mean() if reduction == "mean" else losses.sum())
     n = x.shape[0]
 
     def vjp(u):
-        p = np.exp(shifted)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = e / e.sum(axis=-1, keepdims=True)
         p[rows, targets] -= 1.0
         scale = u / n if reduction == "mean" else u
         return (p * scale,)

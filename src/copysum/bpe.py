@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError, ContractError
 from .text import WORD_END, normalize_text
@@ -64,6 +67,14 @@ class Vocabulary:
         if UNK_TOKEN in self.token_to_id:
             ids.add(self.token_to_id[UNK_TOKEN])
         return frozenset(ids)
+
+    @cached_property
+    def ordinary_ids(self) -> np.ndarray:
+        """Sorted ids of every non-special token (read-only, computed once)."""
+        specials = np.fromiter(self.special_ids, dtype=np.int64)
+        ids = np.setdiff1d(np.arange(len(self), dtype=np.int64), specials)
+        ids.flags.writeable = False
+        return ids
 
     # -- encoding / decoding ---------------------------------------------
 

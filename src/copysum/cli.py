@@ -275,6 +275,7 @@ def _train_one(
         {
             "summary": "run",
             "skipped_examples": report.skipped_examples,
+            "valid_skipped": report.valid_skipped,
             "truncated": report.truncation_stats.get("truncated", 0),
             "sampling": asdict(sampling),
         }

@@ -18,7 +18,7 @@ from .autodiff import log_softmax_values
 from .bpe import Vocabulary
 from .errors import ConfigError, ContractError
 from .metrics import copy_rate
-from .model import JointSequence, PrefixLM, build_attention_mask
+from .model import JointSequence, PrefixLM, build_attention_mask, fit_source
 
 NEG_INF = float("-inf")
 
@@ -83,11 +83,17 @@ class SearchDiagnostics:
     empty_result: bool = False
 
 
-def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids):
-    """Next-token log-probabilities with the mask token as the prompt."""
+def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summary_len: int = 0):
+    """Next-token log-probabilities with the mask token as the prompt.
+
+    The source is tail-truncated as in training, so that summaries of up
+    to ``max_summary_len`` tokens plus the prompt fit in the model's
+    positions; a longer prefix is rejected.
+    """
+    limit = model.config.max_positions
+    source_ids = fit_source(np.asarray(source_ids, dtype=np.int64), max_summary_len, limit)
     base = [vocab.start_id] + [int(t) for t in source_ids] + [vocab.end_id]
     source_len = len(base)
-    limit = model.config.max_positions
 
     def scorer(prefix_ids: tuple[int, ...]) -> np.ndarray:
         ids = base + list(prefix_ids) + [vocab.mask_id]
@@ -306,7 +312,9 @@ def decode_record(
     """One summary for one input; returns the line-record for the output file."""
     if search not in ("beam", "best-first"):
         raise ConfigError(f"unknown search method {search!r}")
-    scorer = make_model_scorer(model, vocab, vocab.encode(source))
+    scorer = make_model_scorer(
+        model, vocab, vocab.encode(source), max_summary_len=search_config.max_summary_len
+    )
     runner = beam_search if search == "beam" else best_first_search
     pool, diag = runner(scorer, search_config)
     if not pool:

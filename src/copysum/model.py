@@ -87,6 +87,75 @@ class JointSequence:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def attention_mask(self) -> np.ndarray:
+        return build_attention_mask(self.source_len, len(self))
+
+
+def pad_rows(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Integer rows right-padded with 0 into one (len(rows), width) array."""
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    for target, row in zip(out, rows):
+        target[: len(row)] = row
+    return out
+
+
+@dataclass
+class JointBatch:
+    """Joint sequences right-padded to one width ``T``: every array is (B, T).
+
+    Row ``b`` holds ``lengths[b]`` real tokens. Pad positions carry id 0;
+    the attention mask hides their keys from every real row, so they change
+    no real state, and no loss ever selects them.
+    """
+
+    ids: np.ndarray
+    position_ids: np.ndarray
+    segment_ids: np.ndarray
+    source_lens: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def pad(cls, seqs: list[JointSequence]) -> "JointBatch":
+        if not seqs:
+            raise ContractError("a batch needs at least one sequence")
+        width = max(len(seq) for seq in seqs)
+        return cls(
+            ids=pad_rows([seq.ids for seq in seqs], width),
+            position_ids=pad_rows([seq.position_ids for seq in seqs], width),
+            segment_ids=pad_rows([seq.segment_ids for seq in seqs], width),
+            source_lens=np.array([seq.source_len for seq in seqs], dtype=np.int64),
+            lengths=np.array([len(seq) for seq in seqs], dtype=np.int64),
+        )
+
+    @classmethod
+    def of(cls, seq: "JointSequence | JointBatch") -> "JointBatch":
+        """``seq`` itself if it is a batch, else a batch of one."""
+        return seq if isinstance(seq, JointBatch) else cls.pad([seq])
+
+    def attention_mask(self) -> np.ndarray:
+        """(B, T, T) prefix masks; rows and columns past a length are all 0."""
+        size, width = self.ids.shape
+        mask = np.zeros((size, width, width))
+        for b in range(size):
+            t = int(self.lengths[b])
+            mask[b, :t, :t] = build_attention_mask(int(self.source_lens[b]), t)
+        return mask
+
+
+def fit_source(source_ids: np.ndarray, summary_len: int, max_positions: int) -> np.ndarray:
+    """The head of ``source_ids`` that fits beside ``summary_len`` summary tokens.
+
+    The joint sequence spends three positions on START, the source's END and
+    one closing token (the summary's END in training, [MASK] in decoding);
+    the source keeps its first tokens and loses its tail.
+    """
+    keep = max_positions - 3 - summary_len
+    if keep < 1:
+        raise ContractError(
+            f"summary of {summary_len} tokens cannot fit in {max_positions} positions"
+        )
+    return source_ids[:keep]
+
 
 def build_attention_mask(source_len: int, total_len: int) -> np.ndarray:
     """Binary (total, total) matrix; row i sees column j iff j <= max(i, source_len).
@@ -158,66 +227,107 @@ class PrefixLM:
 
     # -- forward pieces ----------------------------------------------------
 
-    def embed(self, seq: JointSequence) -> Tensor:
-        """Sum of token, position, and segment embedding rows."""
-        if len(seq) > self.config.max_positions:
+    def embed(self, seq: "JointSequence | JointBatch") -> Tensor:
+        """Sum of token, position, and segment embedding rows, (B*T, h)."""
+        batch = JointBatch.of(seq)
+        if batch.ids.shape[1] > self.config.max_positions:
             raise ContractError(
-                f"sequence length {len(seq)} exceeds max_positions "
+                f"sequence length {batch.ids.shape[1]} exceeds max_positions "
                 f"{self.config.max_positions}"
             )
-        if seq.ids.size and seq.ids.max() >= self.config.vocab_size:
+        if batch.ids.size and batch.ids.max() >= self.config.vocab_size:
             raise ContractError("token id out of vocabulary range")
-        tok = ad.embedding(self.tok_emb, seq.ids)
-        pos = ad.embedding(self.pos_emb, seq.position_ids)
-        seg = ad.embedding(self.seg_emb, seq.segment_ids)
+        tok = ad.embedding(self.tok_emb, batch.ids.reshape(-1))
+        pos = ad.embedding(self.pos_emb, batch.position_ids.reshape(-1))
+        seg = ad.embedding(self.seg_emb, batch.segment_ids.reshape(-1))
         return tok + pos + seg
 
-    def _attention(self, x: Tensor, mask_bias: np.ndarray, i: int, rng) -> Tensor:
+    def _dropout_keeps(self, batch: JointBatch, rng) -> tuple:
+        """Boolean keep masks for every dropout site, padded into the batch.
+
+        Each example draws its masks in turn, in forward order and at its
+        own length (embedding ``(t, h)``; then per layer attention
+        probabilities ``(H, t, t)``, attention output and feed-forward
+        ``(t, h)``), so a batch consumes ``rng`` exactly as its examples
+        run one at a time would. Returns ``(embedding, [(probs, attn, ff)
+        per layer])``, all None when dropout is off.
+        """
+        cfg = self.config
+        if rng is None or cfg.dropout <= 0.0:
+            return None, [(None, None, None)] * cfg.num_layers
+        size, width = batch.ids.shape
+        h, n_heads, rate = cfg.hidden_size, cfg.num_heads, cfg.dropout
+        emb = np.zeros((size, width, h), dtype=bool)
+        layers = [
+            (
+                np.zeros((size, n_heads, width, width), dtype=bool),
+                np.zeros((size, width, h), dtype=bool),
+                np.zeros((size, width, h), dtype=bool),
+            )
+            for _ in range(cfg.num_layers)
+        ]
+        for b, t in enumerate(batch.lengths):
+            emb[b, :t] = rng.random((t, h)) >= rate
+            for probs, attn, ff in layers:
+                probs[b, :, :t, :t] = rng.random((n_heads, t, t)) >= rate
+                attn[b, :t] = rng.random((t, h)) >= rate
+                ff[b, :t] = rng.random((t, h)) >= rate
+        rows = (size * width, h)
+        return emb.reshape(rows), [
+            (probs, attn.reshape(rows), ff.reshape(rows)) for probs, attn, ff in layers
+        ]
+
+    def _attention(self, x: Tensor, mask_bias: np.ndarray, i: int, keep) -> Tensor:
+        """Self-attention over (B*T, h) rows; heads work on (B, H, T, d)."""
         cfg = self.config
         n_heads = cfg.num_heads
         head = cfg.hidden_size // n_heads
-        t = x.shape[0]
+        size, _, width, _ = mask_bias.shape
         p = self.params
+
+        def project(m: Tensor, name: str) -> Tensor:
+            return ad.matmul(m, p[f"layer{i}.attn_{name}_weight"], p[f"layer{i}.attn_{name}_bias"])
 
         def split_heads(m: Tensor) -> Tensor:
-            return ad.transpose(ad.reshape(m, (t, n_heads, head)), (1, 0, 2))
+            return ad.transpose(ad.reshape(m, (size, width, n_heads, head)), (0, 2, 1, 3))
 
-        q = split_heads(x @ p[f"layer{i}.attn_q_weight"] + p[f"layer{i}.attn_q_bias"])
-        k = split_heads(x @ p[f"layer{i}.attn_k_weight"] + p[f"layer{i}.attn_k_bias"])
-        v = split_heads(x @ p[f"layer{i}.attn_v_weight"] + p[f"layer{i}.attn_v_bias"])
-        scores = (q @ ad.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(head))
-        probs = ad.softmax(scores + mask_bias, axis=-1)
-        if rng is not None and cfg.dropout > 0.0:
-            probs = ad.dropout(probs, cfg.dropout, rng)
-        ctx = ad.reshape(ad.transpose(probs @ v, (1, 0, 2)), (t, cfg.hidden_size))
-        return ctx @ p[f"layer{i}.attn_out_weight"] + p[f"layer{i}.attn_out_bias"]
+        q, k, v = (split_heads(project(x, name)) for name in ("q", "k", "v"))
+        scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(head))
+        probs = ad.dropout(ad.softmax(scores + mask_bias, axis=-1), keep, cfg.dropout)
+        ctx = ad.reshape(ad.transpose(probs @ v, (0, 2, 1, 3)), (size * width, cfg.hidden_size))
+        return project(ctx, "out")
 
-    def forward(self, seq: JointSequence, mask: np.ndarray, rng=None) -> Tensor:
+    def forward(self, seq: "JointSequence | JointBatch", mask: np.ndarray, rng=None) -> Tensor:
         """Contextual states for every position of ``seq`` under ``mask``.
 
-        ``rng`` enables dropout (training); inference passes None.
+        ``seq`` is one sequence with a (T, T) mask or a padded batch with a
+        (B, T, T) mask; either way the states come back as (B*T, h) rows,
+        example ``b``'s position ``i`` at row ``b * T + i``. ``rng`` enables
+        dropout (training); inference passes None.
         """
-        t = len(seq)
-        if mask.shape != (t, t):
-            raise ContractError(f"mask shape {mask.shape} does not match length {t}")
-        p = self.params
-        mask_bias = (1.0 - mask) * MASK_BIAS  # 0 where allowed, -1e9 where not
-        x = ad.layer_norm(self.embed(seq), p["emb_ln_gain"], p["emb_ln_bias"])
-        if rng is not None and self.config.dropout > 0.0:
-            x = ad.dropout(x, self.config.dropout, rng)
-        for i in range(self.config.num_layers):
-            attn = self._attention(x, mask_bias, i, rng)
-            if rng is not None and self.config.dropout > 0.0:
-                attn = ad.dropout(attn, self.config.dropout, rng)
+        batch = JointBatch.of(seq)
+        size, width = batch.ids.shape
+        expected = (width, width) if isinstance(seq, JointSequence) else (size, width, width)
+        if mask.shape != expected:
+            raise ContractError(f"mask shape {mask.shape} does not match {expected}")
+        p, rate = self.params, self.config.dropout
+        # 0 where allowed, -1e9 where not; one row of keys per example,
+        # broadcast over the heads
+        mask_bias = ((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width)
+        keep_emb, keep_layers = self._dropout_keeps(batch, rng)
+        x = ad.layer_norm(self.embed(batch), p["emb_ln_gain"], p["emb_ln_bias"])
+        x = ad.dropout(x, keep_emb, rate)
+        for i, (keep_probs, keep_attn, keep_ff) in enumerate(keep_layers):
+            attn = ad.dropout(self._attention(x, mask_bias, i, keep_probs), keep_attn, rate)
             x = ad.layer_norm(
                 x + attn, p[f"layer{i}.attn_ln_gain"], p[f"layer{i}.attn_ln_bias"]
             )
-            ff = ad.gelu(x @ p[f"layer{i}.ff_in_weight"] + p[f"layer{i}.ff_in_bias"])
-            ff = ff @ p[f"layer{i}.ff_out_weight"] + p[f"layer{i}.ff_out_bias"]
-            if rng is not None and self.config.dropout > 0.0:
-                ff = ad.dropout(ff, self.config.dropout, rng)
+            ff = ad.gelu(ad.matmul(x, p[f"layer{i}.ff_in_weight"], p[f"layer{i}.ff_in_bias"]))
+            ff = ad.matmul(ff, p[f"layer{i}.ff_out_weight"], p[f"layer{i}.ff_out_bias"])
             x = ad.layer_norm(
-                x + ff, p[f"layer{i}.ff_ln_gain"], p[f"layer{i}.ff_ln_bias"]
+                x + ad.dropout(ff, keep_ff, rate),
+                p[f"layer{i}.ff_ln_gain"],
+                p[f"layer{i}.ff_ln_bias"],
             )
         return x
 

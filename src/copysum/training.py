@@ -9,7 +9,7 @@ toward copying or generating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bpe import Vocabulary
 from .errors import ConfigError, ContractError, NumericError
-from .model import JointSequence, PrefixLM, build_attention_mask
+from .model import JointBatch, JointSequence, PrefixLM, fit_source, pad_rows
 from .optim import AdamW, PlateauHalver
 from .seeding import named_rng
 
@@ -115,18 +115,9 @@ def build_joint_sequence(
     """[START, source..., END, summary..., END] with source-tail truncation."""
     if len(example.source_ids) == 0 or len(example.summary_ids) == 0:
         raise ContractError("source and summary must both be non-empty")
-    source = example.source_ids
-    overhead = 3 + len(example.summary_ids)  # START, source END, summary END
-    if overhead + len(source) > max_positions:
-        keep = max_positions - overhead
-        if keep < 1:
-            raise ContractError(
-                f"summary of {len(example.summary_ids)} tokens cannot fit in "
-                f"{max_positions} positions"
-            )
-        source = source[:keep]
-        if stats is not None:
-            stats["truncated"] = stats.get("truncated", 0) + 1
+    source = fit_source(example.source_ids, len(example.summary_ids), max_positions)
+    if len(source) < len(example.source_ids) and stats is not None:
+        stats["truncated"] = stats.get("truncated", 0) + 1
     ids = np.concatenate(
         (
             [vocab.start_id],
@@ -173,10 +164,9 @@ def sample_and_corrupt(
     corrupted[positions[actions == ACTION_MASK]] = vocab.mask_id
     random_positions = positions[actions == ACTION_RANDOM]
     if len(random_positions):
-        ordinary = np.setdiff1d(
-            np.arange(len(vocab), dtype=np.int64), np.fromiter(vocab.special_ids, dtype=np.int64)
+        corrupted[random_positions] = rng.choice(
+            vocab.ordinary_ids, size=len(random_positions)
         )
-        corrupted[random_positions] = rng.choice(ordinary, size=len(random_positions))
     record = SelectionRecord(
         positions=positions,
         original_ids=seq.ids[positions].copy(),
@@ -185,9 +175,29 @@ def sample_and_corrupt(
     return corrupted, record
 
 
+def collate(
+    items: list[tuple[JointSequence, np.ndarray, SelectionRecord]],
+) -> tuple[JointBatch, np.ndarray, SelectionRecord]:
+    """One padded batch from (sequence, corrupted ids, record) triples.
+
+    Positions become flat row indices ``b * T + i`` into the batch's
+    (B*T, h) states, so the record counts every selected position.
+    """
+    batch = JointBatch.pad([seq for seq, _, _ in items])
+    width = batch.ids.shape[1]
+    corrupted = pad_rows([ids for _, ids, _ in items], width)
+    records = [record for _, _, record in items]
+    record = SelectionRecord(
+        positions=np.concatenate([r.positions + b * width for b, r in enumerate(records)]),
+        original_ids=np.concatenate([r.original_ids for r in records]),
+        actions=np.concatenate([r.actions for r in records]),
+    )
+    return batch, corrupted, record
+
+
 def compute_loss(
     model: PrefixLM,
-    seq: JointSequence,
+    seq: JointSequence | JointBatch,
     corrupted_ids: np.ndarray,
     record: SelectionRecord,
     reduction: str = "mean",
@@ -195,19 +205,14 @@ def compute_loss(
 ) -> Tensor | None:
     """Negative log-likelihood of the original tokens at selected positions.
 
-    States come from the corrupted sequence under the standard prefix mask;
-    returns None when nothing was selected (the caller counts skips).
+    ``seq`` is one sequence or a padded batch from ``collate``. States come
+    from the corrupted ids under the standard prefix mask; returns None when
+    nothing was selected (the caller counts skips).
     """
     if len(record.positions) == 0:
         return None
-    corrupted_seq = JointSequence(
-        ids=corrupted_ids,
-        source_len=seq.source_len,
-        position_ids=seq.position_ids,
-        segment_ids=seq.segment_ids,
-    )
-    mask = build_attention_mask(seq.source_len, len(seq))
-    states = model.forward(corrupted_seq, mask, rng=rng)
+    corrupted = replace(seq, ids=corrupted_ids)
+    states = model.forward(corrupted, corrupted.attention_mask(), rng=rng)
     picked = ad.take_rows(states, record.positions)
     logits = model.predict_logits(picked)
     return ad.cross_entropy_from_logits(logits, record.original_ids, reduction)
@@ -230,26 +235,52 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """Per-epoch loss rows plus run totals.
+
+    ``skipped_examples`` counts training examples that selected no position,
+    over all epochs; ``valid_skipped`` counts those of the validation draw,
+    which is the same every epoch.
+    """
+
     records: list[dict] = field(default_factory=list)
     skipped_examples: int = 0
+    valid_skipped: int = 0
     truncation_stats: dict = field(default_factory=dict)
 
     def log(self, **kv) -> None:
         self.records.append(kv)
 
 
-def _epoch_loss(model, sequences, sampling, vocab, rng, report) -> tuple[float, float]:
-    """Corpus loss (mean per selected position, and total) without updates."""
-    total, count = 0.0, 0
-    for seq, categories in sequences:
-        corrupted, record = sample_and_corrupt(seq, categories, sampling, rng, vocab)
-        loss = compute_loss(model, seq, corrupted, record, reduction="sum")
-        if loss is None:
-            report.skipped_examples += 1
+def _batches(sequences, order, batch_size, sampling, rng, vocab):
+    """Corrupt ``sequences`` in ``order`` and collate them ``batch_size`` at a time.
+
+    Yields ``(collated, skipped)`` per chunk: ``collate``'s triple over the
+    examples that selected a position (None if none did), and the number
+    that selected nothing. Corruption draws from ``rng`` example by example,
+    in ``order``.
+    """
+    for start in range(0, len(order), batch_size):
+        chunk = order[start : start + batch_size]
+        picked = []
+        for idx in chunk:
+            seq, categories = sequences[idx]
+            corrupted, record = sample_and_corrupt(seq, categories, sampling, rng, vocab)
+            if len(record.positions):
+                picked.append((seq, corrupted, record))
+        yield (collate(picked) if picked else None), len(chunk) - len(picked)
+
+
+def _epoch_loss(model, sequences, sampling, vocab, rng, batch_size) -> tuple[float, float, int]:
+    """Corpus loss (mean per selected position, total) and skips, without updates."""
+    total, count, skipped = 0.0, 0, 0
+    order = np.arange(len(sequences))
+    for collated, n_skipped in _batches(sequences, order, batch_size, sampling, rng, vocab):
+        skipped += n_skipped
+        if collated is None:
             continue
-        total += loss.item()
-        count += len(record.positions)
-    return (total / max(count, 1), total)
+        total += compute_loss(model, *collated, reduction="sum").item()
+        count += len(collated[2].positions)
+    return (total / max(count, 1), total, skipped)
 
 
 def prepare_sequences(
@@ -295,38 +326,25 @@ def train(
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(train_seqs))
         epoch_total, epoch_count = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            losses, n_positions = [], 0
-            for idx in batch:
-                seq, categories = train_seqs[idx]
-                corrupted, record = sample_and_corrupt(
-                    seq, categories, sampling, corrupt_rng, vocab
-                )
-                loss = compute_loss(
-                    model, seq, corrupted, record, reduction="sum", rng=dropout_rng
-                )
-                if loss is None:
-                    report.skipped_examples += 1
-                    continue
-                losses.append(loss)
-                n_positions += len(record.positions)
-            if not losses:
+        batches = _batches(train_seqs, order, config.batch_size, sampling, corrupt_rng, vocab)
+        for step, (collated, skipped) in enumerate(batches):
+            report.skipped_examples += skipped
+            if collated is None:
                 continue
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = batch_loss + extra
+            batch_loss = compute_loss(model, *collated, reduction="sum", rng=dropout_rng)
+            n_positions = len(collated[2].positions)
             if config.reduction == "mean":
                 batch_loss = batch_loss * (1.0 / n_positions)
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise NumericError(
                     f"training diverged: loss={value} at epoch {epoch}, "
-                    f"batch starting {start}"
+                    f"batch starting {step * config.batch_size}"
                 )
             optimizer.zero_grad()
             batch_loss.backward()
             optimizer.step()
+            del batch_loss  # free this step's graph before the next one is built
             epoch_total += value * (n_positions if config.reduction == "mean" else 1.0)
             epoch_count += n_positions
 
@@ -339,8 +357,8 @@ def train(
             # same corruption draw every epoch so the plateau rule compares
             # like with like
             val_rng = named_rng(config.seed, "valid-corruption")
-            val_mean, val_sum = _epoch_loss(
-                model, valid_seqs, sampling, vocab, val_rng, report
+            val_mean, val_sum, report.valid_skipped = _epoch_loss(
+                model, valid_seqs, sampling, vocab, val_rng, config.batch_size
             )
             report.log(
                 epoch=epoch, split="valid", loss_mean=round(val_mean, 6),

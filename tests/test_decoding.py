@@ -12,6 +12,7 @@ from copysum.decoding import (
     best_first_search,
     block_trigrams,
     brevity_penalty,
+    decode_record,
     hypothesis_text,
     make_model_scorer,
     predict_length,
@@ -396,3 +397,31 @@ class TestModelScorer:
         scorer = make_model_scorer(model, vocab, vocab.encode(source))
         with pytest.raises(ContractError):
             scorer(tuple(vocab.encode("bad")) * 80)
+
+
+class TestLongSource:
+    """A source past ``max_positions`` is tail-truncated as in training."""
+
+    @pytest.fixture(scope="class")
+    def tiny_model(self):
+        words = "bad keg lim fad gem kid".split()
+        vocab = train_bpe([" ".join(words)] * 2, target_size=20)
+        model = PrefixLM(ModelConfig.preset("tiny", vocab_size=len(vocab), max_positions=32),
+                         seed=3)
+        source = " ".join(words[i % len(words)] for i in range(96))
+        return model, vocab, source
+
+    def test_decode_returns_a_row(self, tiny_model):
+        model, vocab, source = tiny_model
+        config = SearchConfig(end_id=vocab.end_id, k=2, max_summary_len=8)
+        row = decode_record(model, vocab, "long", source, "beam", config, RerankConfig())
+        assert row["id"] == "long"
+
+    def test_scorer_reads_the_source_head(self, tiny_model):
+        model, vocab, source = tiny_model
+        ids = vocab.encode(source)
+        keep = 32 - 3 - 8  # START, END, 8 summary tokens and [MASK]
+        long = make_model_scorer(model, vocab, ids, max_summary_len=8)
+        head = make_model_scorer(model, vocab, ids[:keep], max_summary_len=8)
+        assert np.array_equal(long(()), head(()))
+        assert np.array_equal(long((5, 6, 7)), head((5, 6, 7)))

@@ -380,6 +380,23 @@ class TestTrainLoop:
         for name in a:
             assert np.array_equal(a[name], b[name]), name
 
+    def test_skip_counts_keep_train_and_valid_apart(self):
+        """Validation draws the same corruption every epoch: counted once."""
+        vocab, examples = _memorization_setup(n=15)
+        model = PrefixLM(
+            ModelConfig(
+                num_layers=1, hidden_size=16, num_heads=2,
+                vocab_size=len(vocab), max_positions=64, feed_forward_size=32,
+            ),
+            seed=2,
+        )
+        nothing = SamplingConfig(p_seen=0.0, p_unseen=0.0, p_source=0.0)
+        report = train(
+            model, examples[:10], examples[10:], nothing,
+            TrainConfig(epochs=3, batch_size=4, seed=0), vocab,
+        )
+        assert (report.skipped_examples, report.valid_skipped) == (30, 5)
+
     def test_divergence_aborts_with_diagnostic(self):
         vocab, examples = _memorization_setup(n=4)
         model = PrefixLM(
