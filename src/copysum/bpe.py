@@ -144,18 +144,44 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        """Read a saved vocabulary; a malformed file raises ``ContractError`` naming it."""
+        try:
+            lines = Path(path).read_text(encoding="utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
         if not lines or lines[0] != VOCAB_HEADER:
             raise ContractError(f"{path}: not a vocabulary file")
-        unk_policy = lines[1].split(" ", 1)[1]
-        n_tokens = int(lines[2].split(" ", 1)[1])
+
+        def field_at(i: int, key: str) -> str:
+            prefix = f"#{key} "
+            if i >= len(lines):
+                raise ContractError(f"{path}: ends at line {len(lines)}, before {prefix!r}")
+            if not lines[i].startswith(prefix):
+                raise ContractError(f"{path}: line {i + 1} should start with {prefix!r}")
+            return lines[i][len(prefix):]
+
+        def count_at(i: int, key: str) -> int:
+            value = field_at(i, key)
+            if not value.isdigit():
+                raise ContractError(f"{path}: line {i + 1}: bad {key} count {value!r}")
+            return int(value)
+
+        unk_policy = field_at(1, "unk_policy")
+        n_tokens = count_at(2, "tokens")
         tokens = lines[3 : 3 + n_tokens]
         merges_at = 3 + n_tokens
-        n_merges = int(lines[merges_at].split(" ", 1)[1])
+        n_merges = count_at(merges_at, "merges")
         merges = []
-        for line in lines[merges_at + 1 : merges_at + 1 + n_merges]:
-            left, right = line.split("\t")
-            merges.append((left, right))
+        for i in range(merges_at + 1, merges_at + 1 + n_merges):
+            pair = lines[i].split("\t") if i < len(lines) else []
+            if len(pair) != 2:
+                raise ContractError(f"{path}: line {i + 1} should be a tab-separated merge")
+            merges.append((pair[0], pair[1]))
+        if len(lines) <= merges_at + 1 + n_merges:  # save() ends the last line
+            raise ContractError(f"{path}: truncated after its last merge")
+        missing = {START_TOKEN, END_TOKEN, MASK_TOKEN} - set(tokens)
+        if missing:
+            raise ContractError(f"{path}: special tokens missing: {sorted(missing)}")
         return cls(id_to_token=tokens, merges=merges, unk_policy=unk_policy)
 
 

@@ -39,10 +39,20 @@ def save_checkpoint(path, params: list[Parameter], metadata: dict | None = None)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict]:
-    """Read a container back; returns ({name: Parameter}, metadata)."""
+    """Read a container back; returns ({name: Parameter}, metadata).
+
+    A file that is not a whole container raises ``ContractError`` naming it.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ContractError(f"{path}: not a parameter checkpoint")
+    try:
+        return _parse(raw, path)
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContractError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+
+
+def _parse(raw: bytes, path) -> tuple[dict[str, Parameter], dict]:
     version, meta_len = struct.unpack_from("<II", raw, 4)
     if version != FORMAT_VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
@@ -62,6 +72,11 @@ def load_checkpoint(path) -> tuple[dict[str, Parameter], dict]:
         shape = struct.unpack_from(f"<{ndim}I", raw, offset)
         offset += 4 * ndim
         n = int(np.prod(shape)) if ndim else 1
+        if offset + 8 * n > len(raw):
+            raise ContractError(
+                f"{path}: truncated checkpoint: {name!r} needs {8 * n} bytes at offset "
+                f"{offset}, the file has {len(raw)}"
+            )
         values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
         offset += 8 * n
         params[name] = Parameter(values.copy(), name=name, decay_exempt=bool(flags & 1))

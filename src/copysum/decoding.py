@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import log_softmax_values
 from .bpe import Vocabulary
 from .errors import ConfigError, ContractError
 from .metrics import copy_rate
-from .model import JointSequence, PrefixLM, build_attention_mask, fit_source
+from .model import PrefixLM, PromptCache, fit_source
+from .text import split_words
 
 NEG_INF = float("-inf")
 
@@ -60,7 +60,6 @@ class RerankConfig:
     c: float = 0.55
     r_sbwr: float = 0.25
     length_offset: int = 3
-    copy_scale: str = "div"  # div | mult | pow
     fallback_length: int = 8
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class RerankConfig:
             raise ConfigError("bp-norm scale c must be > 0")
         if self.r_sbwr < 0:
             raise ConfigError("sbwr coefficient must be >= 0")
-        if self.copy_scale not in ("div", "mult", "pow"):
-            raise ConfigError(f"unknown copy_scale {self.copy_scale!r}")
 
 
 @dataclass
@@ -88,26 +85,15 @@ def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summar
 
     The source is tail-truncated as in training, so that summaries of up
     to ``max_summary_len`` tokens plus the prompt fit in the model's
-    positions; a longer prefix is rejected.
+    positions; a longer prefix is rejected. The scorer runs the source
+    once and keeps every scored prefix's keys and values (``PromptCache``),
+    so a call on a prefix whose parent was scored runs two new rows;
+    ``scorer.rows`` counts the rows run.
     """
     limit = model.config.max_positions
     source_ids = fit_source(np.asarray(source_ids, dtype=np.int64), max_summary_len, limit)
-    base = [vocab.start_id] + [int(t) for t in source_ids] + [vocab.end_id]
-    source_len = len(base)
-
-    def scorer(prefix_ids: tuple[int, ...]) -> np.ndarray:
-        ids = base + list(prefix_ids) + [vocab.mask_id]
-        if len(ids) > limit:
-            raise ContractError(
-                f"prompt of {len(ids)} tokens exceeds max_positions {limit}"
-            )
-        seq = JointSequence.build(np.asarray(ids, dtype=np.int64), source_len)
-        mask = build_attention_mask(source_len, len(seq))
-        states = model.forward(seq, mask)
-        logits = model.predict_logits(states).data[-1]
-        return log_softmax_values(logits)
-
-    return scorer
+    prompt = [vocab.start_id, *(int(t) for t in source_ids), vocab.end_id]
+    return PromptCache(model, prompt, vocab.mask_id)
 
 
 def block_trigrams(hypothesis_ids: tuple[int, ...], candidate: int) -> bool:
@@ -227,14 +213,9 @@ class RankedHypothesis:
     excluded: bool = False
 
 
-def _scaled_copy_rate(words: list[str], source_words: set[str], config: RerankConfig) -> float:
-    in_source = sum(1 for w in words if w in source_words)
-    rate = in_source / len(words)
-    if config.copy_scale == "div":
-        return rate / config.c
-    if config.copy_scale == "mult":
-        return rate * config.c
-    return rate**config.c
+def _scaled_copy_rate(words: list[str], source_words: set[str], c: float) -> float:
+    """The share of ``words`` found in the source, divided by ``c``."""
+    return sum(1 for w in words if w in source_words) / len(words) / c
 
 
 def brevity_penalty(scaled_rate: float) -> float:
@@ -266,11 +247,11 @@ def rerank(
     if config.method == "sbwr" and predicted_length is None:
         raise ContractError("sbwr reranking requires a predicted length")
 
-    source_words = set(source_text.lower().split()) if source_text else set()
+    source_words = set(split_words(source_text)) if source_text else set()
     ranked: list[RankedHypothesis] = []
     for hyp in pool:
         token_len = len(hyp.ids)
-        words = hypothesis_text(vocab, hyp).split() if vocab is not None else []
+        words = split_words(hypothesis_text(vocab, hyp)) if vocab is not None else []
         if config.method == "none":
             score = hyp.score
         elif config.method == "length_norm":
@@ -279,7 +260,7 @@ def rerank(
             if not words:
                 ranked.append(RankedHypothesis(hyp, NEG_INF, excluded=True))
                 continue
-            bp = brevity_penalty(_scaled_copy_rate(words, source_words, config))
+            bp = brevity_penalty(_scaled_copy_rate(words, source_words, config.c))
             score = (math.log(bp) if bp > 0 else NEG_INF) + hyp.score / token_len
         else:  # sbwr
             reward = sum(

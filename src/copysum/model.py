@@ -4,17 +4,21 @@ One stack both encodes and generates: source positions attend to the whole
 source bidirectionally while summary positions attend causally, which is
 what the binary attention mask encodes. The output projection shares
 storage with the token embedding (structural tying, not a copy).
+``PromptCache`` runs the same stack for decoding without an autodiff graph,
+keeping each record's keys and values between calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.special import erf
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter, Tensor, log_softmax_values
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError
 
@@ -348,9 +352,13 @@ class PrefixLM:
     @classmethod
     def load(cls, path) -> "PrefixLM":
         params, meta = load_checkpoint(path)
-        cfg_dict = dict(meta["model_config"])
-        cfg_dict["decay_exempt_markers"] = tuple(cfg_dict["decay_exempt_markers"])
-        model = cls(ModelConfig(**cfg_dict))
+        try:
+            cfg_dict = dict(meta["model_config"])
+            cfg_dict["decay_exempt_markers"] = tuple(cfg_dict["decay_exempt_markers"])
+            config = ModelConfig(**cfg_dict)
+        except (KeyError, TypeError) as exc:
+            raise ContractError(f"{path}: checkpoint has no usable model_config ({exc})") from exc
+        model = cls(config)
         if set(params) != set(model.params):
             raise ContractError("checkpoint parameter names do not match the model")
         for name, loaded in params.items():
@@ -358,3 +366,186 @@ class PrefixLM:
                 raise ContractError(f"checkpoint shape mismatch for {name!r}")
             model.params[name].data[...] = loaded.data
         return model
+
+
+# -- graph-free inference ------------------------------------------------------
+# The ops of ``PrefixLM.forward`` on plain arrays, for one record's decode
+# steps: a step runs one or two rows, so each costs about the per-call
+# overhead of the numpy functions it calls, and they are kept few.
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, mean: np.ndarray):
+    """Layer norm (eps 1e-6) over the last axis; ``mean`` is a (h, 1) column of 1/h.
+
+    The row means are matrix products with ``mean``, which costs less than
+    numpy's reductions on the one or two rows a decode step runs.
+    """
+    xhat = x - x @ mean
+    var = (xhat * xhat) @ mean
+    var += 1e-6
+    xhat /= np.sqrt(var)
+    xhat *= gain
+    xhat += bias
+    return xhat
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """``autodiff.gelu`` (exact erf form) without the graph."""
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf
+
+
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """``autodiff.softmax`` over the last axis, in place."""
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_block(rows: int) -> np.ndarray:
+    """Attention bias among ``rows`` new summary rows: none sees a later one."""
+    block = np.triu(np.full((rows, rows), MASK_BIAS), 1)
+    block.flags.writeable = False
+    return block
+
+
+class PromptCache:
+    """Decode scorer of one record: ``PrefixLM.forward`` without a graph, cached.
+
+    Calling it with a summary prefix returns the log-softmax of the
+    vocabulary logits at the ``[MASK]`` row of ``prompt_ids + prefix +
+    [MASK]``, where ``prompt_ids`` is ``[START] source [END]``: the same
+    numbers as ``forward`` with dropout off and ``predict_logits`` on the
+    whole prompt, to rounding.
+
+    Source rows attend to the source only and summary rows causally, so
+    the keys and values a row feeds to attention never depend on the rows
+    after it. The source rows run once, here, into ``_source``. A prefix
+    token's keys and values, for every layer, are kept in a ``(1, layers,
+    2h)`` array once a call has run that token's row, and ``_paths`` maps
+    each prefix seen to the tuple of its tokens' arrays. A call runs only
+    the rows it lacks: for a prefix one token past a scored one, that
+    token and ``[MASK]``. Only the ``[MASK]`` row goes through the last
+    layer's attention and feed-forward and gets logits. ``rows`` counts
+    the rows that entered the stack.
+    """
+
+    __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_mean",
+                 "_out", "_source", "_paths")
+
+    def __init__(self, model: PrefixLM, prompt_ids, mask_id: int):
+        cfg, p = model.config, model.params
+        ids = np.asarray(prompt_ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+            raise ContractError("token id out of vocabulary range")
+        if len(ids) + 1 > cfg.max_positions:
+            raise ContractError(
+                f"prompt of {len(ids) + 1} tokens exceeds max_positions {cfg.max_positions}"
+            )
+        self._mask_id = mask_id
+        self._limit = cfg.max_positions
+        self._embed = (p["tok_emb"].data, p["pos_emb"].data, p["seg_emb"].data,
+                       p["emb_ln_gain"].data, p["emb_ln_bias"].data)
+        self._layers = []
+        for i in range(cfg.num_layers):
+            w = {name[len(f"layer{i}."):]: t.data for name, t in p.items()
+                 if name.startswith(f"layer{i}.")}
+            # q, k and v in one (h, 3h) projection
+            qkv_w = np.concatenate([w[f"attn_{n}_weight"] for n in "qkv"], axis=1)
+            qkv_b = np.concatenate([w[f"attn_{n}_bias"] for n in "qkv"])
+            self._layers.append((
+                qkv_w, qkv_b, w["attn_out_weight"], w["attn_out_bias"],
+                w["attn_ln_gain"], w["attn_ln_bias"], w["ff_in_weight"], w["ff_in_bias"],
+                w["ff_out_weight"], w["ff_out_bias"], w["ff_ln_gain"], w["ff_ln_bias"],
+            ))
+        self._heads = cfg.num_heads
+        self._mean = np.full((cfg.hidden_size, 1), 1.0 / cfg.hidden_size)
+        self._out = (p["out_emb"] if not cfg.tie_embeddings else p["tok_emb"]).data
+        self.rows = 0
+        # per row and layer, its keys then its values: the k and v columns
+        # of the fused projection
+        self._source = np.empty((len(ids), cfg.num_layers, 2 * cfg.hidden_size))
+        self._run(self._rows_in(ids, 0, 0), self._source, causal=False)
+        self._paths: dict[tuple, tuple] = {(): ()}
+
+    def __call__(self, prefix_ids) -> np.ndarray:
+        prefix = tuple(prefix_ids)
+        source_len = len(self._source)
+        total = source_len + len(prefix) + 1
+        if total > self._limit:
+            raise ContractError(f"prompt of {total} tokens exceeds max_positions {self._limit}")
+        known = len(prefix)
+        while prefix[:known] not in self._paths:
+            known -= 1
+        new = prefix[known:]
+        vocab_size = len(self._embed[0])
+        for tok in new:
+            if not 0 <= tok < vocab_size:
+                raise ContractError("token id out of vocabulary range")
+        kept = self._paths[prefix[:known]]
+        past = source_len + known
+        kv = np.empty((past + len(new) + 1,) + self._source.shape[1:])
+        np.concatenate((self._source, *kept), out=kv[:past])
+        ids = np.array([*new, self._mask_id], dtype=np.int64)
+        state = self._run(self._rows_in(ids, past, 1), kv, causal=True)
+        for i in range(len(new)):
+            kept = (*kept, kv[past + i : past + i + 1].copy())
+            self._paths[prefix[: known + i + 1]] = kept
+        return log_softmax_values(self._out @ state)
+
+    def _rows_in(self, ids: np.ndarray, position: int, segment: int) -> np.ndarray:
+        """Normalized embeddings of ``ids`` placed from ``position`` on."""
+        tok, pos, seg, gain, bias = self._embed
+        x = tok[ids]
+        x += pos[position : position + len(ids)]
+        x += seg[segment]
+        return _layer_norm(x, gain, bias, self._mean)
+
+    def _run(self, x: np.ndarray, kv: np.ndarray, causal: bool):
+        """Run the rows ``x`` through the stack, writing their keys and values.
+
+        ``kv`` is ``(rows attended to, layers, 2h)``: the stored rows, then
+        one row for each row of ``x``, which this fills in. Every row of
+        ``x`` attends to the stored rows and to the new ones: to all of
+        them, or with ``causal`` to those up to itself. A causal call
+        returns the last row's final state; the source (``causal`` off)
+        needs only its keys and values, and returns None.
+        """
+        n_layers, width = kv.shape[1:]
+        hidden = width // 2
+        heads = self._heads
+        size = hidden // heads
+        past = len(kv) - len(x)
+        self.rows += len(x)
+        # (row, layer, keys or values, head, d)
+        heads_kv = kv.reshape(len(kv), n_layers, 2, heads, size)
+        for i, layer in enumerate(self._layers):
+            qkv_w, qkv_b, out_w, out_b, ln1_g, ln1_b, in_w, in_b, ff_w, ff_b, ln2_g, ln2_b = layer
+            qkv = x @ qkv_w
+            qkv += qkv_b
+            kv[past:, i] = qkv[:, hidden:]
+            if i == n_layers - 1:  # past here only the last row is read
+                if not causal:
+                    return None
+                x, qkv = x[-1:], qkv[-1:]
+            q = qkv[:, :hidden].reshape(len(x), heads, size).transpose(1, 0, 2)
+            scores = q @ heads_kv[:, i, 0].transpose(1, 2, 0)
+            scores *= 1.0 / math.sqrt(size)
+            if causal and len(x) > 1:
+                scores[..., past:] += _causal_block(len(x))
+            probs = _softmax_rows(scores)
+            ctx = probs @ heads_kv[:, i, 1].transpose(1, 0, 2)
+            attn = ctx.transpose(1, 0, 2).reshape(len(x), hidden) @ out_w
+            attn += out_b
+            x = _layer_norm(x + attn, ln1_g, ln1_b, self._mean)
+            ff = x @ in_w
+            ff += in_b
+            ff = _gelu(ff) @ ff_w
+            ff += ff_b
+            x = _layer_norm(x + ff, ln2_g, ln2_b, self._mean)
+        return x[-1]

@@ -131,3 +131,16 @@ def test_vocab_size_cap_respected():
     corpus = ["aa ab ac ad ae af ag ah ai aj " * 3]
     vocab = train_bpe(corpus, target_size=30)
     assert len(vocab) <= 30
+
+
+def test_every_truncation_of_a_vocabulary_file_names_it(tmp_path):
+    vocab = train_bpe(["bad keg lim fad gem kid"] * 2, target_size=40)
+    path = tmp_path / "vocab.txt"
+    vocab.save(path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.txt"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ContractError) as exc:
+            Vocabulary.load(cut)
+        assert str(exc.value).startswith(f"{cut}: ")

@@ -42,3 +42,16 @@ def test_rejects_wrong_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ContractError):
         load_checkpoint(path)
+
+
+def test_every_truncation_is_a_contract_error(tmp_path):
+    rng = np.random.default_rng(4)
+    params = [Parameter(rng.normal(size=(3, 2)), name="w"), Parameter([0.5], name="b")]
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, metadata={"model_config": {"note": "é"}})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ContractError, match="cut.bin"):
+            load_checkpoint(cut)

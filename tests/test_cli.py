@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +297,54 @@ class TestConfigFile:
             "--output", str(tmp_path / "v.txt"),
         ])
         assert rc == 2
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+class TestBadInputFiles:
+    """A cut or corrupt checkpoint or vocabulary is a one-line error, exit 1."""
+
+    @staticmethod
+    def cut(src, tmp_path, size):
+        out = tmp_path / f"cut-{size}-{src.name}"
+        out.write_bytes(src.read_bytes()[:size])
+        return out
+
+    def decode(self, tmp_path, capsys, checkpoint, vocab):
+        rc = main([
+            "decode", "--checkpoint", str(checkpoint), "--vocab", str(vocab),
+            "--input", str(FIXTURES / "test.jsonl"), "--output", str(tmp_path / "out.jsonl"),
+        ])
+        err = capsys.readouterr().err
+        return rc, err
+
+    @pytest.mark.parametrize("size", [300_000, 40, 6])
+    def test_cut_checkpoint(self, tmp_path, capsys, size):
+        ckpt = self.cut(FIXTURES / "checkpoint.bin", tmp_path, size)
+        rc, err = self.decode(tmp_path, capsys, ckpt, FIXTURES / "vocab.txt")
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {ckpt}: ")
+
+    def test_vocab_cut_inside_a_character(self, tmp_path, capsys):
+        vocab = self.cut(FIXTURES / "vocab.txt", tmp_path, 200)
+        assert vocab.read_bytes()[-1] >= 0x80  # the cut splits a multi-byte character
+        rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")
+
+    def test_vocab_header_over_a_short_body(self, tmp_path, capsys):
+        vocab = tmp_path / "short.txt"
+        vocab.write_text("\n".join((FIXTURES / "vocab.txt").read_text().split("\n")[:5]))
+        rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "copysum", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "decode" in done.stdout and "sweep" in done.stdout

@@ -19,7 +19,9 @@ from copysum.decoding import (
     rerank,
 )
 from copysum.errors import ConfigError, ContractError
+from copysum.metrics import copy_rate
 from copysum.model import ModelConfig, PrefixLM
+from copysum.text import WORD_END, split_words
 from copysum.training import TrainConfig, TrainingExample, sampling_preset, train
 
 from conftest import TableLM, exhaustive_best
@@ -259,6 +261,18 @@ class TestRerank:
         hyp = Hypothesis(ids=ids, score=-1.5, completed=True)
         cfg = RerankConfig(method="bp_norm", c=1.0)
         ranked = rerank([hyp], cfg, vocab=tiny_vocab, source_text="bad keg lim")
+        # fully copied, c=1 -> r=1 -> log bp = 0 -> plain length norm
+        assert ranked[0].rerank_score == pytest.approx(-1.5 / len(ids))
+
+    def test_bp_norm_splits_source_words_as_metrics_do(self, tiny_vocab):
+        """A source word joined by the tokenizer's end-of-word marker is two words."""
+        ids = tuple(tiny_vocab.encode("bad keg")) + (tiny_vocab.end_id,)
+        hyp = Hypothesis(ids=ids, score=-1.5, completed=True)
+        source = f"Bad{WORD_END}KEG lim"
+        assert split_words(source)[:2] == ["bad", "keg"] != source.lower().split()[:2]
+        assert copy_rate("bad keg", source, 1) == 100.0
+        ranked = rerank([hyp], RerankConfig(method="bp_norm", c=1.0),
+                        vocab=tiny_vocab, source_text=source)
         # fully copied, c=1 -> r=1 -> log bp = 0 -> plain length norm
         assert ranked[0].rerank_score == pytest.approx(-1.5 / len(ids))
 
