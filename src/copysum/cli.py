@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import metrics
 from .bpe import Vocabulary, train_bpe
@@ -31,41 +32,74 @@ from .training import (
 
 REQUIRED = object()
 
-DEFAULTS: dict[str, dict] = {
-    "build-vocab": {
-        "corpus": REQUIRED, "format": "pairs", "size": 512,
-        "output": REQUIRED, "unk_policy": "replace",
-    },
-    "train": {
-        "train": REQUIRED, "valid": None, "vocab": REQUIRED,
-        "checkpoint": REQUIRED, "report": None,
-        "preset": "case-g", "p_seen": None, "p_unseen": None, "p_source": None,
-        "mask_frac": None, "random_frac": None, "keep_frac": None,
-        "model_preset": "desk", "max_positions": 160, "dropout": 0.1,
-        "epochs": 14, "batch_size": 16, "lr": 1.5e-3, "weight_decay": 0.01,
-        "plateau_patience": 2, "plateau_min_delta": 1e-4, "seed": 0,
-    },
-    "decode": {
-        "checkpoint": REQUIRED, "vocab": REQUIRED, "input": REQUIRED,
-        "output": REQUIRED, "summaries_out": None,
-        "search": "beam", "k": 5, "rerank": "none", "c": 0.55, "r": 0.25,
-        "length_offset": 3, "max_len": 32, "pool_size": None,
-        "heap_capacity": 100_000, "trigram_blocking": True, "seed": 0,
-    },
-    "evaluate": {
-        "hypotheses": REQUIRED, "references": None, "sources": None,
-        "corpus": None, "system": "system", "output": None,
-    },
-    "sweep": {
-        "output_dir": REQUIRED, "corpus_dir": None, "synth": False,
-        "train_pairs": 2000, "valid_pairs": 200, "test_pairs": 200,
-        "paraphrase_fraction": 0.33, "content_words": 80,
-        "vocab_size": 512, "model_preset": "desk", "max_positions": 160,
-        "dropout": 0.1, "epochs": 14, "batch_size": 16, "lr": 1.5e-3,
-        "weight_decay": 0.01,
-        "presets": "case-a,case-b,case-c", "k": 5, "max_len": 32, "seed": 0,
-    },
+
+class Option(NamedTuple):
+    """A row of OPTIONS; its flag is ``--name`` with ``-`` for ``_``."""
+
+    name: str
+    kind: type | list[str]  # int, float, str, bool (a switch) or the allowed strings
+    default: object  # REQUIRED when the option has none
+    help: str | None = None
+
+
+# Each option is declared once, as (name, type or choices, default[, help]).
+# A bool option is a switch: --name turns a False default on, --no-name a
+# True one off. Config-file values are checked against the same type or
+# choices; null passes only where the default is None. An option named
+# after a field of SamplingConfig, TrainConfig or SearchConfig reaches that
+# field by its name (_fields).
+SEED = ("seed", int, 0, "root random seed")
+K, MAX_LEN = ("k", int, 5), ("max_len", int, 32)  # shared by decode and sweep
+TRAINING = [  # shared by train and sweep
+    ("model_preset", str, "desk"), ("max_positions", int, 160), ("dropout", float, 0.1),
+    ("epochs", int, 14), ("batch_size", int, 16), ("lr", float, 1.5e-3),
+    ("weight_decay", float, 0.01),
+]
+
+# command -> (help, option rows), in the order --help lists them
+OPTIONS: dict[str, tuple[str, list[tuple]]] = {
+    "build-vocab": ("train a BPE vocabulary from a corpus", [
+        SEED, ("corpus", str, REQUIRED), ("format", ["pairs", "article", "text"], "pairs"),
+        ("size", int, 512), ("unk_policy", ["replace", "error"], "replace"),
+        ("output", str, REQUIRED),
+    ]),
+    "train": ("train a summarizer checkpoint", [
+        SEED, ("train", str, REQUIRED), ("valid", str, None), ("vocab", str, REQUIRED),
+        ("checkpoint", str, REQUIRED), ("report", str, None),
+        ("preset", str, "case-g", "sampling preset, e.g. case-a or seen-only"),
+        ("p_seen", float, None), ("p_unseen", float, None), ("p_source", float, None),
+        ("mask_frac", float, None), ("random_frac", float, None), ("keep_frac", float, None),
+        *TRAINING, ("plateau_patience", int, 2), ("plateau_min_delta", float, 1e-4),
+    ]),
+    "decode": ("generate summaries from a checkpoint", [
+        SEED, ("checkpoint", str, REQUIRED), ("vocab", str, REQUIRED),
+        ("input", str, REQUIRED), ("output", str, REQUIRED), ("summaries_out", str, None),
+        ("search", ["beam", "best-first"], "beam"), K,
+        ("rerank", ["none", "length_norm", "bp_norm", "sbwr"], "none"),
+        ("c", float, 0.55, "bp_norm copy-rate scale"),
+        ("r", float, 0.25, "sbwr reward coefficient"),
+        ("length_offset", int, 3), MAX_LEN, ("pool_size", int, None),
+        ("heap_capacity", int, 100_000), ("trigram_blocking", bool, True),
+    ]),
+    "evaluate": ("score hypotheses against references and sources", [
+        SEED, ("hypotheses", str, REQUIRED), ("references", str, None),
+        ("sources", str, None),
+        ("corpus", str, None, "pairs file supplying references and sources"),
+        ("system", str, "system"), ("output", str, None),
+    ]),
+    "sweep": ("train/decode/evaluate one model per sampling preset", [
+        SEED, ("output_dir", str, REQUIRED), ("corpus_dir", str, None),
+        ("synth", bool, False), ("train_pairs", int, 2000), ("valid_pairs", int, 200),
+        ("test_pairs", int, 200), ("paraphrase_fraction", float, 0.33),
+        ("content_words", int, 80), ("vocab_size", int, 512), *TRAINING,
+        ("presets", str, "case-a,case-b,case-c", "comma-separated sampling presets"),
+        K, MAX_LEN,
+    ]),
 }
+
+
+def _options(command: str) -> dict[str, Option]:
+    return {row[0]: Option(*row) for row in OPTIONS[command][1]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,112 +108,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="Summarization with control over verbatim copying.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    def sub(name, help_text):
-        p = subs.add_parser(name, help=help_text, argument_default=S)
+    for command, (help_text, _) in OPTIONS.items():
+        # flags left out stay out of the namespace, so _merge_options can
+        # tell them from the defaults and the config file
+        p = subs.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--seed", type=int, help="root random seed")
-        return p
-
-    p = sub("build-vocab", "train a BPE vocabulary from a corpus")
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["pairs", "article", "text"])
-    p.add_argument("--size", type=int)
-    p.add_argument("--unk-policy", dest="unk_policy", choices=["replace", "error"])
-    p.add_argument("--output")
-
-    p = sub("train", "train a summarizer checkpoint")
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--vocab")
-    p.add_argument("--checkpoint")
-    p.add_argument("--report")
-    p.add_argument("--preset", help="sampling preset, e.g. case-a or seen-only")
-    p.add_argument("--p-seen", dest="p_seen", type=float)
-    p.add_argument("--p-unseen", dest="p_unseen", type=float)
-    p.add_argument("--p-source", dest="p_source", type=float)
-    p.add_argument("--mask-frac", dest="mask_frac", type=float)
-    p.add_argument("--random-frac", dest="random_frac", type=float)
-    p.add_argument("--keep-frac", dest="keep_frac", type=float)
-    p.add_argument("--model-preset", dest="model_preset")
-    p.add_argument("--max-positions", dest="max_positions", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--plateau-patience", dest="plateau_patience", type=int)
-    p.add_argument("--plateau-min-delta", dest="plateau_min_delta", type=float)
-
-    p = sub("decode", "generate summaries from a checkpoint")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--summaries-out", dest="summaries_out")
-    p.add_argument("--search", choices=["beam", "best-first"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--rerank", choices=["none", "length_norm", "bp_norm", "sbwr"])
-    p.add_argument("--c", type=float, help="bp_norm copy-rate scale")
-    p.add_argument("--r", type=float, help="sbwr reward coefficient")
-    p.add_argument("--length-offset", dest="length_offset", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--pool-size", dest="pool_size", type=int)
-    p.add_argument("--heap-capacity", dest="heap_capacity", type=int)
-    p.add_argument(
-        "--no-trigram-blocking", dest="trigram_blocking", action="store_false"
-    )
-
-    p = sub("evaluate", "score hypotheses against references and sources")
-    p.add_argument("--hypotheses")
-    p.add_argument("--references")
-    p.add_argument("--sources")
-    p.add_argument("--corpus", help="pairs file supplying references and sources")
-    p.add_argument("--system")
-    p.add_argument("--output")
-
-    p = sub("sweep", "train/decode/evaluate one model per sampling preset")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--corpus-dir", dest="corpus_dir")
-    p.add_argument("--synth", action="store_true")
-    p.add_argument("--train-pairs", dest="train_pairs", type=int)
-    p.add_argument("--valid-pairs", dest="valid_pairs", type=int)
-    p.add_argument("--test-pairs", dest="test_pairs", type=int)
-    p.add_argument("--paraphrase-fraction", dest="paraphrase_fraction", type=float)
-    p.add_argument("--content-words", dest="content_words", type=int)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--model-preset", dest="model_preset")
-    p.add_argument("--max-positions", dest="max_positions", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--presets", help="comma-separated sampling presets")
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-
+        for opt in _options(command).values():
+            flag = "--" + opt.name.replace("_", "-")
+            if opt.kind is bool:
+                action = "store_false" if opt.default else "store_true"
+                flag = "--no-" + flag[2:] if opt.default else flag
+                p.add_argument(flag, dest=opt.name, action=action, help=opt.help)
+            else:
+                choices = opt.kind if isinstance(opt.kind, list) else None
+                kind = opt.kind if opt.kind in (int, float) else None
+                p.add_argument(flag, type=kind, choices=choices, help=opt.help)
     return parser
 
 
+def _checked(opt: Option, value, path):
+    """``value`` from config file ``path`` as the flag would give it."""
+    if value is None and opt.default is None:
+        return value
+    if isinstance(opt.kind, list):
+        ok, expected = value in opt.kind, "one of " + ", ".join(opt.kind)
+    else:
+        # JSON true and false are Python ints too; only a switch takes them
+        allowed = (int, float) if opt.kind is float else opt.kind
+        ok = isinstance(value, allowed) and isinstance(value, bool) == (opt.kind is bool)
+        expected = opt.kind.__name__
+    if not ok:
+        raise ConfigError(f"{path}: {opt.name}: expected {expected}, got {value!r}")
+    return float(value) if opt.kind is float else value
+
+
 def _merge_options(args: argparse.Namespace) -> argparse.Namespace:
-    defaults = dict(DEFAULTS[args.command])
-    defaults["seed"] = defaults.get("seed", 0)
-    provided = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        unknown = sorted(set(loaded) - set(defaults))
+    """Table defaults, then the --config file, then the flags given."""
+    provided = dict(vars(args))
+    command = provided.pop("command")
+    options = _options(command)
+    values = {name: opt.default for name, opt in options.items()}
+    path = provided.pop("config", None)
+    if path:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(loaded).__name__}")
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
-            raise ConfigError(f"unknown config keys for {args.command}: {unknown}")
-        defaults.update(loaded)
-    defaults.update(provided)
-    missing = sorted(k for k, v in defaults.items() if v is REQUIRED)
+            raise ConfigError(f"{path}: unknown config keys for {command}: {unknown}")
+        values.update({name: _checked(options[name], v, path) for name, v in loaded.items()})
+    values.update(provided)
+    missing = sorted(name for name, value in values.items() if value is REQUIRED)
     if missing:
-        raise ConfigError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
-    return argparse.Namespace(**defaults)
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        raise ConfigError(f"missing required option(s): {flags}")
+    return argparse.Namespace(**values)
 
 
 def _round_floats(value, digits=6):
@@ -207,18 +194,15 @@ def _examples(vocab: Vocabulary, records: list[CorpusRecord]) -> list[TrainingEx
     return [TrainingExample.from_texts(vocab, r.source, r.summary) for r in records]
 
 
+def _fields(cls, opts) -> dict:
+    """The options named after fields of dataclass ``cls``."""
+    names = {field.name for field in fields(cls)}
+    return {name: value for name, value in vars(opts).items() if name in names}
+
+
 def _resolve_sampling(opts) -> SamplingConfig:
-    base = sampling_preset(opts.preset)
-    overrides = {
-        key: getattr(opts, key, None)
-        for key in ("p_seen", "p_unseen", "p_source", "mask_frac", "random_frac", "keep_frac")
-        if getattr(opts, key, None) is not None
-    }
-    if overrides:
-        values = asdict(base)
-        values.update(overrides)
-        base = SamplingConfig(**values)
-    return base
+    overrides = {k: v for k, v in _fields(SamplingConfig, opts).items() if v is not None}
+    return replace(sampling_preset(opts.preset), **overrides)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -250,24 +234,15 @@ def _train_one(
         opts.model_preset,
         vocab_size=len(vocab),
         max_positions=opts.max_positions,
-        dropout=getattr(opts, "dropout", 0.0),
+        dropout=opts.dropout,
     )
     model = PrefixLM(model_config, seed=seed_key(opts.seed, "init"))
-    config = TrainConfig(
-        epochs=opts.epochs,
-        batch_size=opts.batch_size,
-        lr=opts.lr,
-        weight_decay=opts.weight_decay,
-        plateau_patience=getattr(opts, "plateau_patience", 2),
-        plateau_min_delta=getattr(opts, "plateau_min_delta", 1e-4),
-        seed=opts.seed,
-    )
     report = train(
         model,
         _examples(vocab, train_records),
         _examples(vocab, valid_records),
         sampling,
-        config,
+        TrainConfig(**_fields(TrainConfig, opts)),
         vocab,
     )
     rows = list(report.records)
@@ -302,16 +277,15 @@ def cmd_train(opts) -> int:
     return 0
 
 
-def _search_config(vocab: Vocabulary, opts) -> SearchConfig:
+def _search_config(vocab: Vocabulary, opts, **search_config) -> SearchConfig:
+    """Options named after SearchConfig fields, --max-len and ``search_config``."""
     banned = tuple(sorted(set(vocab.special_ids) - {vocab.end_id}))
     return SearchConfig(
         end_id=vocab.end_id,
-        k=opts.k,
-        heap_capacity=getattr(opts, "heap_capacity", 100_000),
-        answer_pool_size=getattr(opts, "pool_size", None),
         max_summary_len=opts.max_len,
-        trigram_blocking=getattr(opts, "trigram_blocking", True),
         banned_ids=banned,
+        **_fields(SearchConfig, opts),
+        **search_config,
     )
 
 
@@ -319,7 +293,7 @@ def cmd_decode(opts) -> int:
     vocab = Vocabulary.load(opts.vocab)
     model = PrefixLM.load(opts.checkpoint)
     records, _ = ingest(opts.input, "pairs")
-    search_config = _search_config(vocab, opts)
+    search_config = _search_config(vocab, opts, answer_pool_size=opts.pool_size)
     rerank_config = RerankConfig(
         method=opts.rerank, c=opts.c, r_sbwr=opts.r, length_offset=opts.length_offset
     )
@@ -423,13 +397,7 @@ def cmd_sweep(opts) -> int:
             _write_jsonl(preset_dir / "train_report.jsonl", train_rows)
 
             # matched measurement setting: beam, no reranking
-            search_config = SearchConfig(
-                end_id=vocab.end_id,
-                k=opts.k,
-                max_summary_len=opts.max_len,
-                trigram_blocking=True,
-                banned_ids=tuple(sorted(set(vocab.special_ids) - {vocab.end_id})),
-            )
+            search_config = _search_config(vocab, opts)
             rerank_config = RerankConfig(method="none")
             decode_rows = [
                 decode_record(

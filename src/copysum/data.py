@@ -154,7 +154,6 @@ class SynthConfig:
     source_len: tuple = (10, 16)
     summary_len: tuple = (4, 7)
     paraphrase_fraction: float = 0.33
-    span_slack: int = 0  # 0 keeps summaries contiguous; >0 subsamples a wider span
     span_start_max: int = 2  # summaries align with the source lead, like titles
     seed: int = 0
 
@@ -197,13 +196,12 @@ def synth_generate(config: SynthConfig) -> dict[str, list[CorpusRecord]]:
             src_len = int(rng.integers(config.source_len[0], config.source_len[1] + 1))
             sum_len = int(rng.integers(config.summary_len[0], config.summary_len[1] + 1))
             source_words = [content[j] for j in rng.integers(0, len(content), src_len)]
-            slack = int(rng.integers(0, min(config.span_slack, src_len - sum_len) + 1))
-            span_len = sum_len + slack
-            start_cap = min(config.span_start_max, src_len - span_len)
+            start_cap = min(config.span_start_max, src_len - sum_len)
             start = int(rng.integers(0, start_cap + 1))
-            span = source_words[start : start + span_len]
-            picked = sorted(rng.choice(span_len, size=sum_len, replace=False).tolist())
-            summary_words = [span[j] for j in picked]
+            summary_words = source_words[start : start + sum_len]
+            # a shuffle that picks nothing; every later draw, and so every
+            # seeded corpus, depends on the state it leaves
+            rng.choice(sum_len, size=sum_len, replace=False)
             replaced = rng.random(sum_len) < np.array(
                 [sub_prob[w] for w in summary_words]
             )

@@ -96,15 +96,17 @@ def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summar
     return PromptCache(model, prompt, vocab.mask_id)
 
 
+def _trigram_bans(ids: tuple[int, ...]) -> list[int]:
+    """The tokens that, appended to ``ids``, would repeat one of its trigrams."""
+    if len(ids) < 2:
+        return []
+    a, b = ids[-2:]
+    return [z for x, y, z in zip(ids, ids[1:], ids[2:]) if x == a and y == b]
+
+
 def block_trigrams(hypothesis_ids: tuple[int, ...], candidate: int) -> bool:
     """False iff appending ``candidate`` repeats a trigram already emitted."""
-    if len(hypothesis_ids) < 2:
-        return True
-    new = (hypothesis_ids[-2], hypothesis_ids[-1], candidate)
-    for i in range(len(hypothesis_ids) - 2):
-        if hypothesis_ids[i : i + 3] == new:
-            return False
-    return True
+    return candidate not in _trigram_bans(hypothesis_ids)
 
 
 def _top_extensions(ids: tuple[int, ...], log_probs: np.ndarray, config: SearchConfig):
@@ -112,11 +114,9 @@ def _top_extensions(ids: tuple[int, ...], log_probs: np.ndarray, config: SearchC
     scores = log_probs.astype(np.float64, copy=True)
     for banned in config.banned_ids:
         scores[banned] = NEG_INF
-    if config.trigram_blocking and len(ids) >= 2:
-        prev2 = (ids[-2], ids[-1])
-        for i in range(len(ids) - 2):
-            if (ids[i], ids[i + 1]) == prev2:
-                scores[ids[i + 2]] = NEG_INF
+    if config.trigram_blocking:
+        for banned in _trigram_bans(ids):
+            scores[banned] = NEG_INF
     # stable order: by descending logp, then token id
     order = np.lexsort((np.arange(len(scores)), -scores))
     out = []

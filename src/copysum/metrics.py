@@ -22,6 +22,19 @@ def _ngrams(words: list[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(words[i : i + n]) for i in range(len(words) - n + 1)]
 
 
+def _copy_counts(summary_text: str, source_text: str, n: int) -> tuple[int, int]:
+    """(summary n-grams found anywhere in the source, summary n-grams).
+
+    The second is below 1 when the summary has fewer than n words.
+    """
+    summary_words = split_words(summary_text)
+    denominator = len(summary_words) - n + 1
+    if denominator < 1:
+        return 0, denominator
+    source_set = set(_ngrams(split_words(source_text), n))
+    return sum(1 for gram in _ngrams(summary_words, n) if gram in source_set), denominator
+
+
 def copy_rate(summary_text: str, source_text: str, n: int) -> float | None:
     """Percent of summary n-grams found anywhere in the source.
 
@@ -29,12 +42,8 @@ def copy_rate(summary_text: str, source_text: str, n: int) -> float | None:
     """
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    summary_words = split_words(summary_text)
-    if len(summary_words) - n + 1 < 1:
-        return None
-    source_set = set(_ngrams(split_words(source_text), n))
-    hits = sum(1 for gram in _ngrams(summary_words, n) if gram in source_set)
-    return 100.0 * hits / (len(summary_words) - n + 1)
+    hits, denominator = _copy_counts(summary_text, source_text, n)
+    return 100.0 * hits / denominator if denominator >= 1 else None
 
 
 def copy_rate_profile(summary_text: str, source_text: str) -> dict:
@@ -52,12 +61,9 @@ def corpus_copy_rates(pairs: list[tuple[str, str]]) -> dict:
     for n in COPY_NS:
         hits, total, per_summary = 0, 0, []
         for summary, source in pairs:
-            words = split_words(summary)
-            denom = len(words) - n + 1
+            num, denom = _copy_counts(summary, source, n)
             if denom < 1:
                 continue
-            source_set = set(_ngrams(split_words(source), n))
-            num = sum(1 for gram in _ngrams(words, n) if gram in source_set)
             hits += num
             total += denom
             per_summary.append(100.0 * num / denom)

@@ -230,7 +230,6 @@ class TrainConfig:
     plateau_patience: int = 2
     plateau_min_delta: float = 1e-4
     seed: int = 0
-    reduction: str = "mean"
 
 
 @dataclass
@@ -333,8 +332,7 @@ def train(
                 continue
             batch_loss = compute_loss(model, *collated, reduction="sum", rng=dropout_rng)
             n_positions = len(collated[2].positions)
-            if config.reduction == "mean":
-                batch_loss = batch_loss * (1.0 / n_positions)
+            batch_loss = batch_loss * (1.0 / n_positions)
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise NumericError(
@@ -345,7 +343,7 @@ def train(
             batch_loss.backward()
             optimizer.step()
             del batch_loss  # free this step's graph before the next one is built
-            epoch_total += value * (n_positions if config.reduction == "mean" else 1.0)
+            epoch_total += value * n_positions
             epoch_count += n_positions
 
         train_mean = epoch_total / max(epoch_count, 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from copysum.cli import main
+from copysum.cli import _merge_options, build_parser, main
 from copysum.data import SynthConfig, synth_generate, write_pairs
 
 
@@ -297,6 +297,41 @@ class TestConfigFile:
             "--output", str(tmp_path / "v.txt"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("build-vocab", '{"size": 60,}'),
+        ("build-vocab", "null"),
+        ("build-vocab", '{"size": "60"}'),
+        ("build-vocab", '{"format": "xml"}'),
+        ("decode", '{"k": "5"}'),
+        ("decode", '{"k": true}'),
+        ("decode", '{"trigram_blocking": 0}'),
+        ("decode", '{"c": null}'),
+    ])
+    def test_bad_config_is_one_line(self, tmp_path, capsys, command, text):
+        """A bad config file is checked like a flag: one line, exit 2."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        # real inputs, so that a value let through would reach the program
+        data = {
+            "build-vocab": ["--corpus", str(FIXTURES / "test.jsonl")],
+            "decode": ["--checkpoint", str(FIXTURES / "checkpoint.bin"),
+                       "--vocab", str(FIXTURES / "vocab.txt"),
+                       "--input", str(FIXTURES / "test.jsonl")],
+        }[command]
+        rc = main([command, "--config", str(cfg), *data, "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith(f"configuration error: {cfg}: ")
+
+    def test_config_values_resolve_as_flags_do(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1, "valid": None, "preset": "case-a"}))
+        opts = _merge_options(build_parser().parse_args([
+            "train", "--config", str(cfg), "--train", "t", "--vocab", "v", "--checkpoint", "c",
+        ]))
+        assert (opts.lr, opts.valid, opts.preset) == (1.0, None, "case-a")
+        assert type(opts.lr) is float  # as --lr 1 gives
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
