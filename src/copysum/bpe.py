@@ -61,8 +61,9 @@ class Vocabulary:
     def mask_id(self) -> int:
         return self.token_to_id[MASK_TOKEN]
 
-    @property
+    @cached_property
     def special_ids(self) -> frozenset[int]:
+        """START, END, MASK and, if present, UNK (computed once)."""
         ids = {self.start_id, self.end_id, self.mask_id}
         if UNK_TOKEN in self.token_to_id:
             ids.add(self.token_to_id[UNK_TOKEN])

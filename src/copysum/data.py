@@ -145,6 +145,9 @@ def _syllable_words(consonants: str, vowels: str, count: int) -> list[str]:
     return words[:count]
 
 
+SPAN_START_MAX = 2  # summaries align with the source lead, like titles
+
+
 @dataclass
 class SynthConfig:
     content_words: int = 80
@@ -154,7 +157,6 @@ class SynthConfig:
     source_len: tuple = (10, 16)
     summary_len: tuple = (4, 7)
     paraphrase_fraction: float = 0.33
-    span_start_max: int = 2  # summaries align with the source lead, like titles
     seed: int = 0
 
     def __post_init__(self):
@@ -196,7 +198,7 @@ def synth_generate(config: SynthConfig) -> dict[str, list[CorpusRecord]]:
             src_len = int(rng.integers(config.source_len[0], config.source_len[1] + 1))
             sum_len = int(rng.integers(config.summary_len[0], config.summary_len[1] + 1))
             source_words = [content[j] for j in rng.integers(0, len(content), src_len)]
-            start_cap = min(config.span_start_max, src_len - sum_len)
+            start_cap = min(SPAN_START_MAX, src_len - sum_len)
             start = int(rng.integers(0, start_cap + 1))
             summary_words = source_words[start : start + sum_len]
             # a shuffle that picks nothing; every later draw, and so every

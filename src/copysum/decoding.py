@@ -77,7 +77,6 @@ class SearchDiagnostics:
     evictions: int = 0
     overlong: int = 0
     hit_expansion_cap: bool = False
-    empty_result: bool = False
 
 
 def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summary_len: int = 0):
@@ -87,8 +86,8 @@ def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summar
     to ``max_summary_len`` tokens plus the prompt fit in the model's
     positions; a longer prefix is rejected. The scorer runs the source
     once and keeps every scored prefix's keys and values (``PromptCache``),
-    so a call on a prefix whose parent was scored runs two new rows;
-    ``scorer.rows`` counts the rows run.
+    so a call runs at most two new rows, the prefix's last token and
+    ``[MASK]``; ``scorer.rows`` counts the rows run.
     """
     limit = model.config.max_positions
     source_ids = fit_source(np.asarray(source_ids, dtype=np.int64), max_summary_len, limit)
@@ -153,11 +152,10 @@ def best_first_search(scorer, config: SearchConfig):
         diag.expansions += 1
         for tok, logp in _top_extensions(ids, scorer(ids), config):
             heapq.heappush(heap, (-(score + logp), len(ids) + 1, ids + (tok,)))
-        while len(heap) > config.heap_capacity:
-            heap.remove(max(heap))  # max tuple == lowest score
-            heapq.heapify(heap)
-            diag.evictions += 1
-    diag.empty_result = not pool
+        if len(heap) > config.heap_capacity:
+            # keep the best: a sorted list is a heap, and entries are unique
+            diag.evictions += len(heap) - config.heap_capacity
+            heap = heapq.nsmallest(config.heap_capacity, heap)
     return pool, diag
 
 
@@ -186,7 +184,6 @@ def beam_search(scorer, config: SearchConfig):
                     pool.append(Hypothesis(ids=ids, score=score, completed=True))
             else:
                 beam.append((ids, score))
-    diag.empty_result = not pool
     return pool, diag
 
 

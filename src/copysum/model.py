@@ -10,7 +10,6 @@ keeping each record's keys and values between calls.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -70,23 +69,13 @@ class JointSequence:
 
     ids: np.ndarray
     source_len: int
-    position_ids: np.ndarray
-    segment_ids: np.ndarray
 
     @classmethod
     def build(cls, ids, source_len: int) -> "JointSequence":
         ids = np.asarray(ids, dtype=np.int64)
-        total = len(ids)
-        if not 0 < source_len <= total:
-            raise ContractError(f"source_len {source_len} invalid for length {total}")
-        segments = np.zeros(total, dtype=np.int64)
-        segments[source_len:] = 1
-        return cls(
-            ids=ids,
-            source_len=source_len,
-            position_ids=np.arange(total, dtype=np.int64),
-            segment_ids=segments,
-        )
+        if not 0 < source_len <= len(ids):
+            raise ContractError(f"source_len {source_len} invalid for length {len(ids)}")
+        return cls(ids=ids, source_len=source_len)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -105,7 +94,7 @@ def pad_rows(rows: list[np.ndarray], width: int) -> np.ndarray:
 
 @dataclass
 class JointBatch:
-    """Joint sequences right-padded to one width ``T``: every array is (B, T).
+    """Joint sequences right-padded to one width ``T``: ``ids`` is (B, T).
 
     Row ``b`` holds ``lengths[b]`` real tokens. Pad positions carry id 0;
     the attention mask hides their keys from every real row, so they change
@@ -113,8 +102,6 @@ class JointBatch:
     """
 
     ids: np.ndarray
-    position_ids: np.ndarray
-    segment_ids: np.ndarray
     source_lens: np.ndarray
     lengths: np.ndarray
 
@@ -125,8 +112,6 @@ class JointBatch:
         width = max(len(seq) for seq in seqs)
         return cls(
             ids=pad_rows([seq.ids for seq in seqs], width),
-            position_ids=pad_rows([seq.position_ids for seq in seqs], width),
-            segment_ids=pad_rows([seq.segment_ids for seq in seqs], width),
             source_lens=np.array([seq.source_len for seq in seqs], dtype=np.int64),
             lengths=np.array([len(seq) for seq in seqs], dtype=np.int64),
         )
@@ -138,12 +123,11 @@ class JointBatch:
 
     def attention_mask(self) -> np.ndarray:
         """(B, T, T) prefix masks; rows and columns past a length are all 0."""
-        size, width = self.ids.shape
-        mask = np.zeros((size, width, width))
-        for b in range(size):
-            t = int(self.lengths[b])
-            mask[b, :t, :t] = build_attention_mask(int(self.source_lens[b]), t)
-        return mask
+        cols = np.arange(self.ids.shape[1])
+        # build_attention_mask's rule: row i sees column j iff j <= max(i, source_len - 1)
+        row_limit = np.maximum(cols, self.source_lens[:, None] - 1)
+        row_limit[cols >= self.lengths[:, None]] = -1  # a pad row sees nothing
+        return (cols <= row_limit[:, :, None]).astype(np.float64)
 
 
 def fit_source(source_ids: np.ndarray, summary_len: int, max_positions: int) -> np.ndarray:
@@ -234,16 +218,18 @@ class PrefixLM:
     def embed(self, seq: "JointSequence | JointBatch") -> Tensor:
         """Sum of token, position, and segment embedding rows, (B*T, h)."""
         batch = JointBatch.of(seq)
-        if batch.ids.shape[1] > self.config.max_positions:
+        size, width = batch.ids.shape
+        if width > self.config.max_positions:
             raise ContractError(
-                f"sequence length {batch.ids.shape[1]} exceeds max_positions "
-                f"{self.config.max_positions}"
+                f"sequence length {width} exceeds max_positions {self.config.max_positions}"
             )
         if batch.ids.size and batch.ids.max() >= self.config.vocab_size:
             raise ContractError("token id out of vocabulary range")
+        positions = np.arange(width)
+        segments = positions >= batch.source_lens[:, None]  # the summary is segment 1
         tok = ad.embedding(self.tok_emb, batch.ids.reshape(-1))
-        pos = ad.embedding(self.pos_emb, batch.position_ids.reshape(-1))
-        seg = ad.embedding(self.seg_emb, batch.segment_ids.reshape(-1))
+        pos = ad.embedding(self.pos_emb, np.tile(positions, size))
+        seg = ad.embedding(self.seg_emb, segments.reshape(-1))
         return tok + pos + seg
 
     def _dropout_keeps(self, batch: JointBatch, rng) -> tuple:
@@ -406,12 +392,8 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-@functools.lru_cache(maxsize=8)
-def _causal_block(rows: int) -> np.ndarray:
-    """Attention bias among ``rows`` new summary rows: none sees a later one."""
-    block = np.triu(np.full((rows, rows), MASK_BIAS), 1)
-    block.flags.writeable = False
-    return block
+# Attention bias between a scorer call's token row and [MASK]: the token does not see it
+_PAIR_BIAS = np.array([[0.0, MASK_BIAS], [0.0, 0.0]])
 
 
 class PromptCache:
@@ -428,11 +410,11 @@ class PromptCache:
     after it. The source rows run once, here, into ``_source``. A prefix
     token's keys and values, for every layer, are kept in a ``(1, layers,
     2h)`` array once a call has run that token's row, and ``_paths`` maps
-    each prefix seen to the tuple of its tokens' arrays. A call runs only
-    the rows it lacks: for a prefix one token past a scored one, that
-    token and ``[MASK]``. Only the ``[MASK]`` row goes through the last
-    layer's attention and feed-forward and gets logits. ``rows`` counts
-    the rows that entered the stack.
+    each scored prefix to the tuple of its tokens' arrays. A call runs
+    ``[MASK]`` and, for a prefix not scored before, its last token: an
+    unscored parent (never, in the searches) is scored first. Only the
+    ``[MASK]`` row goes through the last layer's attention and
+    feed-forward and gets logits. ``rows`` counts the rows run.
     """
 
     __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_mean",
@@ -475,27 +457,24 @@ class PromptCache:
 
     def __call__(self, prefix_ids) -> np.ndarray:
         prefix = tuple(prefix_ids)
-        source_len = len(self._source)
-        total = source_len + len(prefix) + 1
+        total = len(self._source) + len(prefix) + 1
         if total > self._limit:
             raise ContractError(f"prompt of {total} tokens exceeds max_positions {self._limit}")
-        known = len(prefix)
-        while prefix[:known] not in self._paths:
-            known -= 1
-        new = prefix[known:]
-        vocab_size = len(self._embed[0])
-        for tok in new:
-            if not 0 <= tok < vocab_size:
+        if prefix in self._paths:
+            kept, new = self._paths[prefix], ()
+        else:
+            if not 0 <= prefix[-1] < len(self._embed[0]):
                 raise ContractError("token id out of vocabulary range")
-        kept = self._paths[prefix[:known]]
-        past = source_len + known
+            if prefix[:-1] not in self._paths:
+                self(prefix[:-1])
+            kept, new = self._paths[prefix[:-1]], prefix[-1:]
+        past = len(self._source) + len(kept)
         kv = np.empty((past + len(new) + 1,) + self._source.shape[1:])
         np.concatenate((self._source, *kept), out=kv[:past])
         ids = np.array([*new, self._mask_id], dtype=np.int64)
         state = self._run(self._rows_in(ids, past, 1), kv, causal=True)
-        for i in range(len(new)):
-            kept = (*kept, kv[past + i : past + i + 1].copy())
-            self._paths[prefix[: known + i + 1]] = kept
+        if new:
+            self._paths[prefix] = (*kept, kv[past:-1].copy())
         return log_softmax_values(self._out @ state)
 
     def _rows_in(self, ids: np.ndarray, position: int, segment: int) -> np.ndarray:
@@ -512,9 +491,10 @@ class PromptCache:
         ``kv`` is ``(rows attended to, layers, 2h)``: the stored rows, then
         one row for each row of ``x``, which this fills in. Every row of
         ``x`` attends to the stored rows and to the new ones: to all of
-        them, or with ``causal`` to those up to itself. A causal call
-        returns the last row's final state; the source (``causal`` off)
-        needs only its keys and values, and returns None.
+        them, or with ``causal`` (at most a token, then ``[MASK]``) to
+        those up to itself. A causal call returns the last row's final
+        state; the source (``causal`` off) needs only its keys and values,
+        and returns None.
         """
         n_layers, width = kv.shape[1:]
         hidden = width // 2
@@ -536,8 +516,8 @@ class PromptCache:
             q = qkv[:, :hidden].reshape(len(x), heads, size).transpose(1, 0, 2)
             scores = q @ heads_kv[:, i, 0].transpose(1, 2, 0)
             scores *= 1.0 / math.sqrt(size)
-            if causal and len(x) > 1:
-                scores[..., past:] += _causal_block(len(x))
+            if causal and len(x) == 2:
+                scores[..., past:] += _PAIR_BIAS
             probs = _softmax_rows(scores)
             ctx = probs @ heads_kv[:, i, 1].transpose(1, 0, 2)
             attn = ctx.transpose(1, 0, 2).reshape(len(x), hidden) @ out_w

@@ -223,9 +223,6 @@ class TrainConfig:
     epochs: int = 14
     batch_size: int = 16
     lr: float = 1.5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.01
     plateau_patience: int = 2
     plateau_min_delta: float = 1e-4
@@ -269,19 +266,6 @@ def _batches(sequences, order, batch_size, sampling, rng, vocab):
         yield (collate(picked) if picked else None), len(chunk) - len(picked)
 
 
-def _epoch_loss(model, sequences, sampling, vocab, rng, batch_size) -> tuple[float, float, int]:
-    """Corpus loss (mean per selected position, total) and skips, without updates."""
-    total, count, skipped = 0.0, 0, 0
-    order = np.arange(len(sequences))
-    for collated, n_skipped in _batches(sequences, order, batch_size, sampling, rng, vocab):
-        skipped += n_skipped
-        if collated is None:
-            continue
-        total += compute_loss(model, *collated, reduction="sum").item()
-        count += len(collated[2].positions)
-    return (total / max(count, 1), total, skipped)
-
-
 def prepare_sequences(
     examples: list[TrainingExample],
     vocab: Vocabulary,
@@ -309,18 +293,20 @@ def train(
     train_seqs = prepare_sequences(train_examples, vocab, max_pos, report)
     valid_seqs = prepare_sequences(valid_examples, vocab, max_pos, report)
 
-    optimizer = AdamW(
-        model.parameters(),
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
-    )
+    optimizer = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     halver = PlateauHalver(config.plateau_patience, config.plateau_min_delta)
     corrupt_rng = named_rng(config.seed, "corruption")
     order_rng = named_rng(config.seed, "data-order")
     dropout_rng = named_rng(config.seed, "dropout") if model.config.dropout > 0 else None
+    # one corruption draw of the validation set, scored every epoch, so the
+    # plateau rule compares like with like
+    valid_rng = named_rng(config.seed, "valid-corruption")
+    valid_batches = []
+    for collated, skipped in _batches(valid_seqs, np.arange(len(valid_seqs)),
+                                      config.batch_size, sampling, valid_rng, vocab):
+        report.valid_skipped += skipped
+        if collated is not None:
+            valid_batches.append(collated)
 
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(train_seqs))
@@ -352,12 +338,8 @@ def train(
             loss_sum=round(epoch_total, 6), lr=optimizer.lr,
         )
         if valid_seqs:
-            # same corruption draw every epoch so the plateau rule compares
-            # like with like
-            val_rng = named_rng(config.seed, "valid-corruption")
-            val_mean, val_sum, report.valid_skipped = _epoch_loss(
-                model, valid_seqs, sampling, vocab, val_rng, config.batch_size
-            )
+            val_sum = sum(compute_loss(model, *b, reduction="sum").item() for b in valid_batches)
+            val_mean = val_sum / max(sum(len(b[2].positions) for b in valid_batches), 1)
             report.log(
                 epoch=epoch, split="valid", loss_mean=round(val_mean, 6),
                 loss_sum=round(val_sum, 6), lr=optimizer.lr,

@@ -140,9 +140,7 @@ def test_batched_training_follows_the_one_example_at_a_time_trajectory(corpus):
     train(batched, examples, [], sampling, config, vocab)
 
     looped = _model(vocab)
-    optimizer = AdamW(looped.parameters(), lr=config.lr, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.adam_eps,
-                      weight_decay=config.weight_decay)
+    optimizer = AdamW(looped.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     corrupt_rng = named_rng(config.seed, "corruption")
     order_rng = named_rng(config.seed, "data-order")
     dropout_rng = named_rng(config.seed, "dropout")

@@ -3,7 +3,13 @@ import pytest
 
 from copysum import autodiff as ad
 from copysum.errors import ConfigError, ContractError
-from copysum.model import JointSequence, ModelConfig, PrefixLM, build_attention_mask
+from copysum.model import (
+    JointBatch,
+    JointSequence,
+    ModelConfig,
+    PrefixLM,
+    build_attention_mask,
+)
 
 from conftest import assert_grads_close
 
@@ -68,6 +74,19 @@ class TestAttentionMask:
             build_attention_mask(6, 5)
         with pytest.raises(ContractError):
             build_attention_mask(0, 5)
+
+    def test_batch_masks_equal_per_example_masks(self, rng):
+        """Each padded batch row holds its example's mask, zeros elsewhere."""
+        for _ in range(200):
+            lengths = rng.integers(1, 20, size=int(rng.integers(1, 7)))
+            seqs = [make_sequence(rng, int(t), int(rng.integers(1, t + 1))) for t in lengths]
+            mask = JointBatch.pad(seqs).attention_mask()
+            width = int(lengths.max())
+            assert mask.shape == (len(seqs), width, width)
+            for b, seq in enumerate(seqs):
+                expected = np.zeros((width, width))
+                expected[: len(seq), : len(seq)] = build_attention_mask(seq.source_len, len(seq))
+                np.testing.assert_array_equal(mask[b], expected)
 
 
 class TestEmbedding:

@@ -49,9 +49,14 @@ class TestJointSequence:
         assert seq.ids[0] == word_vocab.start_id
         assert seq.ids[seq.source_len - 1] == word_vocab.end_id
         assert seq.ids[-1] == word_vocab.end_id
-        np.testing.assert_array_equal(seq.position_ids, np.arange(12))
-        np.testing.assert_array_equal(seq.segment_ids[:8], 0)
-        np.testing.assert_array_equal(seq.segment_ids[8:], 1)
+        model = PrefixLM(ModelConfig.preset("tiny", vocab_size=len(word_vocab)), seed=0)
+        p = {name: model.params[name].data for name in ("tok_emb", "pos_emb", "seg_emb")}
+        segments = np.repeat([0, 1], [8, 4])  # source, then summary
+        np.testing.assert_allclose(
+            model.embed(seq).data,
+            p["tok_emb"][seq.ids] + p["pos_emb"][:12] + p["seg_emb"][segments],
+            rtol=0, atol=1e-15,
+        )
 
     def test_empty_summary_rejected(self, word_vocab):
         bad = TrainingExample(
