@@ -10,6 +10,7 @@ so calling ``backward`` twice without ``zero_grad`` doubles parameter grads
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -110,23 +111,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(ensure_tensor(other), -1.0))
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -265,17 +254,24 @@ def tensor_mean(a: Tensor) -> Tensor:
 
 
 # -- nonlinearities and normalization -------------------------------------
+# Each op's forward is a plain-array kernel (``*_values``); the graph ops
+# wrap them, and the graph-free decode scorer calls them directly.
+
+
+def gelu_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (erf) GELU of ``x`` and the normal CDF at ``x``, ``(out, cdf)``."""
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
 
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact (erf) form."""
     a = ensure_tensor(a)
     x = a.data
-    cdf = x / math.sqrt(2.0)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    data = x * cdf
+    data, cdf = gelu_values(x)
 
     def vjp(u):
         grad = -0.5 * x
@@ -290,14 +286,20 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
+def softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Normalized exponentials of ``x`` along ``axis``, unchecked."""
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Normalized exponentials along ``axis``; rejects non-finite input."""
     a = ensure_tensor(a)
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax input contains non-finite values")
-    data = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    data = softmax_values(a.data, axis)
 
     def vjp(u):
         inner = (u * data).sum(axis=axis, keepdims=True)
@@ -314,27 +316,47 @@ def log_softmax_values(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+@functools.lru_cache(maxsize=None)
+def _mean_column(n: int) -> np.ndarray:
+    """A read-only (n, 1) column of 1/n: ``x @ it`` is the mean of x's rows."""
+    column = np.full((n, 1), 1.0 / n)
+    column.flags.writeable = False
+    return column
+
+
+def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6):
+    """Layer norm over the last axis, ``(out, xhat, std)``.
+
+    ``xhat`` is ``x`` at zero mean and unit variance, ``std`` the
+    ``sqrt(var + eps)`` it was divided by, and ``out = xhat * gain + bias``.
+    Row means are matrix products with a column of 1/n, which costs less
+    than numpy's reductions on the one or two rows a decode step runs.
+    """
+    column = _mean_column(x.shape[-1])
+    xhat = x - x @ column
+    std = (xhat * xhat) @ column
+    std += eps
+    np.sqrt(std, out=std)
+    xhat /= std
+    out = xhat * gain
+    out += bias
+    return out, xhat, std
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a = ensure_tensor(a)
-    x = a.data
-    n = x.shape[-1]
-    # sums divided by n are numpy's means, without their per-call overhead
-    xhat = x - x.sum(axis=-1, keepdims=True) / n
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    data = xhat * gain.data
-    data += bias.data
+    data, xhat, std = layer_norm_values(a.data, gain.data, bias.data, eps)
+    column = _mean_column(xhat.shape[-1])
 
     def vjp(u):
         lead = tuple(range(u.ndim - 1))
         ggain = (u * xhat).sum(axis=lead) if lead else u * xhat
         gbias = u.sum(axis=lead) if lead else u.copy()
         dxhat = u * gain.data
-        dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
-        dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
-        dx *= inv
+        dx = dxhat - dxhat @ column
+        dx -= xhat * ((dxhat * xhat) @ column)
+        dx /= std
         return (dx, ggain, gbias)
 
     return _make(data, (a, gain, bias), vjp)

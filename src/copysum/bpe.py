@@ -89,17 +89,7 @@ class Vocabulary:
                     best_rank = rank
             if best_rank is None:
                 break
-            left, right = self.merges[best_rank]
-            out: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                    out.append(left + right)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            symbols = out
+            symbols = _merge_pair(symbols, self.merges[best_rank])
         return symbols
 
     def _encode_word(self, word: str) -> tuple[int, ...]:
@@ -194,23 +184,18 @@ def _pair_counts(words: dict[tuple[str, ...], int]) -> Counter:
     return counts
 
 
-def _apply_merge(words: dict[tuple[str, ...], int], pair: tuple[str, str]) -> dict:
+def _merge_pair(symbols, pair: tuple[str, str]) -> list[str]:
+    """``symbols`` with each occurrence of ``pair`` fused, left to right."""
     left, right = pair
-    merged = left + right
-    out: dict[tuple[str, ...], int] = {}
-    for symbols, freq in words.items():
-        if left in symbols:
-            new: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                    new.append(merged)
-                    i += 2
-                else:
-                    new.append(symbols[i])
-                    i += 1
-            symbols = tuple(new)
-        out[symbols] = out.get(symbols, 0) + freq
+    out: list[str] = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
     return out
 
 
@@ -255,11 +240,16 @@ def train_bpe(
         if not counts:
             break
         # max frequency, then lexicographically smallest pair
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if best[1] < 2:
+        pair, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if count < 2:
             break
-        merges.append(best[0])
-        words = _apply_merge(words, best[0])
+        merges.append(pair)
+        merged: dict[tuple[str, ...], int] = {}
+        for symbols, freq in words.items():
+            if pair[0] in symbols:
+                symbols = tuple(_merge_pair(symbols, pair))
+            merged[symbols] = merged.get(symbols, 0) + freq
+        words = merged
 
     # distinct merge paths can yield the same surface string; keep one id
     id_to_token = specials + alphabet

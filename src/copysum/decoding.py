@@ -16,7 +16,7 @@ import numpy as np
 
 from .bpe import Vocabulary
 from .errors import ConfigError, ContractError
-from .metrics import copy_rate
+from .metrics import copy_counts, copy_rate
 from .model import PrefixLM, PromptCache, fit_source
 from .text import split_words
 
@@ -210,11 +210,6 @@ class RankedHypothesis:
     excluded: bool = False
 
 
-def _scaled_copy_rate(words: list[str], source_words: set[str], c: float) -> float:
-    """The share of ``words`` found in the source, divided by ``c``."""
-    return sum(1 for w in words if w in source_words) / len(words) / c
-
-
 def brevity_penalty(scaled_rate: float) -> float:
     """min(e^(1 - 1/r), 1); full copying drops the penalty to zero (log-space)."""
     if scaled_rate <= 0.0:
@@ -244,25 +239,25 @@ def rerank(
     if config.method == "sbwr" and predicted_length is None:
         raise ContractError("sbwr reranking requires a predicted length")
 
-    source_words = set(split_words(source_text)) if source_text else set()
     ranked: list[RankedHypothesis] = []
     for hyp in pool:
         token_len = len(hyp.ids)
-        words = split_words(hypothesis_text(vocab, hyp)) if vocab is not None else []
+        text = hypothesis_text(vocab, hyp) if vocab is not None else ""
         if config.method == "none":
             score = hyp.score
         elif config.method == "length_norm":
             score = hyp.score / token_len
         elif config.method == "bp_norm":
-            if not words:
+            hits, n_words = copy_counts(text, source_text, 1)
+            if n_words < 1:
                 ranked.append(RankedHypothesis(hyp, NEG_INF, excluded=True))
                 continue
-            bp = brevity_penalty(_scaled_copy_rate(words, source_words, config.c))
+            bp = brevity_penalty(hits / n_words / config.c)  # the copy rate over c
             score = (math.log(bp) if bp > 0 else NEG_INF) + hyp.score / token_len
         else:  # sbwr
             reward = sum(
                 1.0 / (1.0 + math.exp(-(predicted_length - i)))
-                for i in range(1, len(words) + 1)
+                for i in range(1, len(split_words(text)) + 1)
             )
             score = hyp.score + config.r_sbwr * reward
         ranked.append(RankedHypothesis(hyp, score))

@@ -22,7 +22,7 @@ def _ngrams(words: list[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(words[i : i + n]) for i in range(len(words) - n + 1)]
 
 
-def _copy_counts(summary_text: str, source_text: str, n: int) -> tuple[int, int]:
+def copy_counts(summary_text: str, source_text: str, n: int) -> tuple[int, int]:
     """(summary n-grams found anywhere in the source, summary n-grams).
 
     The second is below 1 when the summary has fewer than n words.
@@ -42,7 +42,7 @@ def copy_rate(summary_text: str, source_text: str, n: int) -> float | None:
     """
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    hits, denominator = _copy_counts(summary_text, source_text, n)
+    hits, denominator = copy_counts(summary_text, source_text, n)
     return 100.0 * hits / denominator if denominator >= 1 else None
 
 
@@ -61,7 +61,7 @@ def corpus_copy_rates(pairs: list[tuple[str, str]]) -> dict:
     for n in COPY_NS:
         hits, total, per_summary = 0, 0, []
         for summary, source in pairs:
-            num, denom = _copy_counts(summary, source, n)
+            num, denom = copy_counts(summary, source, n)
             if denom < 1:
                 continue
             hits += num

@@ -5,7 +5,9 @@ source bidirectionally while summary positions attend causally, which is
 what the binary attention mask encodes. The output projection shares
 storage with the token embedding (structural tying, not a copy).
 ``PromptCache`` runs the same stack for decoding without an autodiff graph,
-keeping each record's keys and values between calls.
+keeping each record's keys and values between calls; its layer norm, GELU
+and softmax are autodiff's own plain-array kernels, the ones the graph ops
+of ``forward`` wrap.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import erf
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, log_softmax_values
@@ -24,6 +25,11 @@ from .errors import ConfigError, ContractError
 # Additive attention bias for forbidden edges. exp(-1e9) underflows to an
 # exact 0.0 in float64, so masked positions contribute nothing at all.
 MASK_BIAS = -1e9
+
+# Standard deviation of the normal initial weights
+INIT_SCALE = 0.02
+# Parameters whose name holds one of these get no weight decay
+DECAY_EXEMPT_MARKERS = ("bias", "_ln_")
 
 ARCH_PRESETS = {
     "tiny": dict(num_layers=2, hidden_size=16, num_heads=2, feed_forward_size=32),
@@ -42,8 +48,6 @@ class ModelConfig:
     feed_forward_size: int
     dropout: float = 0.0
     tie_embeddings: bool = True
-    init_scale: float = 0.02
-    decay_exempt_markers: tuple = ("bias", "_ln_")
 
     def __post_init__(self):
         if self.hidden_size % self.num_heads != 0:
@@ -122,9 +126,13 @@ class JointBatch:
         return seq if isinstance(seq, JointBatch) else cls.pad([seq])
 
     def attention_mask(self) -> np.ndarray:
-        """(B, T, T) prefix masks; rows and columns past a length are all 0."""
+        """(B, T, T) prefix masks; rows and columns past a length are all 0.
+
+        Row i of example b sees column j iff j <= max(i, source_lens[b] - 1)
+        (0-based): source rows see the whole source, summary rows everything
+        up to and including themselves.
+        """
         cols = np.arange(self.ids.shape[1])
-        # build_attention_mask's rule: row i sees column j iff j <= max(i, source_len - 1)
         row_limit = np.maximum(cols, self.source_lens[:, None] - 1)
         row_limit[cols >= self.lengths[:, None]] = -1  # a pad row sees nothing
         return (cols <= row_limit[:, :, None]).astype(np.float64)
@@ -146,18 +154,17 @@ def fit_source(source_ids: np.ndarray, summary_len: int, max_positions: int) -> 
 
 
 def build_attention_mask(source_len: int, total_len: int) -> np.ndarray:
-    """Binary (total, total) matrix; row i sees column j iff j <= max(i, source_len).
+    """Binary (total, total) mask of one unpadded sequence: ``JointBatch``'s rule.
 
-    Indices in that rule are 1-based; source rows see the whole source,
-    summary rows see everything up to and including themselves.
+    Row i sees column j iff j <= max(i, source_len), indices 1-based.
     """
     if not 0 < source_len <= total_len:
         raise ContractError(
             f"source_len {source_len} must be in 1..total_len {total_len}"
         )
-    cols = np.arange(total_len)
-    row_limit = np.maximum(np.arange(total_len), source_len - 1)
-    return (cols[None, :] <= row_limit[:, None]).astype(np.float64)
+    one = JointBatch(np.zeros((1, total_len), dtype=np.int64), np.array([source_len]),
+                     np.array([total_len]))
+    return one.attention_mask()[0]
 
 
 class PrefixLM:
@@ -171,12 +178,13 @@ class PrefixLM:
 
         def param(name, shape, init="normal"):
             if init == "normal":
-                values = rng.normal(0.0, config.init_scale, size=shape)
+                values = rng.normal(0.0, INIT_SCALE, size=shape)
             elif init == "zeros":
                 values = np.zeros(shape)
             else:
                 values = np.ones(shape)
-            p = Parameter(values, name=name, decay_exempt=self._exempt(name))
+            exempt = any(marker in name for marker in DECAY_EXEMPT_MARKERS)
+            p = Parameter(values, name=name, decay_exempt=exempt)
             self.params[name] = p
             return p
 
@@ -199,9 +207,6 @@ class PrefixLM:
             param(f"layer{i}.ff_ln_bias", (h,), "zeros")
         if not config.tie_embeddings:
             param("out_emb", (config.vocab_size, h))
-
-    def _exempt(self, name: str) -> bool:
-        return any(marker in name for marker in self.config.decay_exempt_markers)
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -330,9 +335,6 @@ class PrefixLM:
 
     def save(self, path) -> None:
         meta = {"schema_version": 1, "model_config": asdict(self.config)}
-        meta["model_config"]["decay_exempt_markers"] = list(
-            self.config.decay_exempt_markers
-        )
         save_checkpoint(path, self.parameters(), meta)
 
     @classmethod
@@ -340,7 +342,9 @@ class PrefixLM:
         params, meta = load_checkpoint(path)
         try:
             cfg_dict = dict(meta["model_config"])
-            cfg_dict["decay_exempt_markers"] = tuple(cfg_dict["decay_exempt_markers"])
+            # older checkpoints also carry INIT_SCALE and DECAY_EXEMPT_MARKERS
+            cfg_dict.pop("init_scale", None)
+            cfg_dict.pop("decay_exempt_markers", None)
             config = ModelConfig(**cfg_dict)
         except (KeyError, TypeError) as exc:
             raise ContractError(f"{path}: checkpoint has no usable model_config ({exc})") from exc
@@ -355,42 +359,6 @@ class PrefixLM:
 
 
 # -- graph-free inference ------------------------------------------------------
-# The ops of ``PrefixLM.forward`` on plain arrays, for one record's decode
-# steps: a step runs one or two rows, so each costs about the per-call
-# overhead of the numpy functions it calls, and they are kept few.
-
-
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, mean: np.ndarray):
-    """Layer norm (eps 1e-6) over the last axis; ``mean`` is a (h, 1) column of 1/h.
-
-    The row means are matrix products with ``mean``, which costs less than
-    numpy's reductions on the one or two rows a decode step runs.
-    """
-    xhat = x - x @ mean
-    var = (xhat * xhat) @ mean
-    var += 1e-6
-    xhat /= np.sqrt(var)
-    xhat *= gain
-    xhat += bias
-    return xhat
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """``autodiff.gelu`` (exact erf form) without the graph."""
-    cdf = x / math.sqrt(2.0)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return x * cdf
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """``autodiff.softmax`` over the last axis, in place."""
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-    return scores
-
 
 # Attention bias between a scorer call's token row and [MASK]: the token does not see it
 _PAIR_BIAS = np.array([[0.0, MASK_BIAS], [0.0, 0.0]])
@@ -417,8 +385,8 @@ class PromptCache:
     feed-forward and gets logits. ``rows`` counts the rows run.
     """
 
-    __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_mean",
-                 "_out", "_source", "_paths")
+    __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_out",
+                 "_source", "_paths")
 
     def __init__(self, model: PrefixLM, prompt_ids, mask_id: int):
         cfg, p = model.config, model.params
@@ -446,7 +414,6 @@ class PromptCache:
                 w["ff_out_weight"], w["ff_out_bias"], w["ff_ln_gain"], w["ff_ln_bias"],
             ))
         self._heads = cfg.num_heads
-        self._mean = np.full((cfg.hidden_size, 1), 1.0 / cfg.hidden_size)
         self._out = (p["out_emb"] if not cfg.tie_embeddings else p["tok_emb"]).data
         self.rows = 0
         # per row and layer, its keys then its values: the k and v columns
@@ -483,7 +450,7 @@ class PromptCache:
         x = tok[ids]
         x += pos[position : position + len(ids)]
         x += seg[segment]
-        return _layer_norm(x, gain, bias, self._mean)
+        return ad.layer_norm_values(x, gain, bias)[0]
 
     def _run(self, x: np.ndarray, kv: np.ndarray, causal: bool):
         """Run the rows ``x`` through the stack, writing their keys and values.
@@ -518,14 +485,14 @@ class PromptCache:
             scores *= 1.0 / math.sqrt(size)
             if causal and len(x) == 2:
                 scores[..., past:] += _PAIR_BIAS
-            probs = _softmax_rows(scores)
+            probs = ad.softmax_values(scores)
             ctx = probs @ heads_kv[:, i, 1].transpose(1, 0, 2)
             attn = ctx.transpose(1, 0, 2).reshape(len(x), hidden) @ out_w
             attn += out_b
-            x = _layer_norm(x + attn, ln1_g, ln1_b, self._mean)
+            x = ad.layer_norm_values(x + attn, ln1_g, ln1_b)[0]
             ff = x @ in_w
             ff += in_b
-            ff = _gelu(ff) @ ff_w
+            ff = ad.gelu_values(ff)[0] @ ff_w
             ff += ff_b
-            x = _layer_norm(x + ff, ln2_g, ln2_b, self._mean)
+            x = ad.layer_norm_values(x + ff, ln2_g, ln2_b)[0]
         return x[-1]

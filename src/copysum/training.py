@@ -316,9 +316,8 @@ def train(
             report.skipped_examples += skipped
             if collated is None:
                 continue
-            batch_loss = compute_loss(model, *collated, reduction="sum", rng=dropout_rng)
+            batch_loss = compute_loss(model, *collated, rng=dropout_rng)
             n_positions = len(collated[2].positions)
-            batch_loss = batch_loss * (1.0 / n_positions)
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise NumericError(

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from copysum import autodiff as ad
+from copysum.checkpoint import load_checkpoint
+from copysum.decoding import make_model_scorer
 from copysum.errors import ConfigError, ContractError
 from copysum.model import (
     JointBatch,
@@ -12,6 +16,7 @@ from copysum.model import (
 )
 
 from conftest import assert_grads_close
+from test_scorer_cache import STUB_VOCAB, full_recompute_scorer, random_model
 
 
 def mask_oracle(source_len: int, total_len: int) -> np.ndarray:
@@ -246,3 +251,37 @@ class TestConfigAndPersistence:
         assert loaded.config == model.config
         after = loaded.forward(seq, mask).data
         assert np.array_equal(before, after)
+
+    def test_fixture_checkpoint_loads_and_saves_without_fixed_knobs(self, tmp_path):
+        """Checkpoints written with init_scale / decay_exempt_markers still load."""
+        fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "checkpoint.bin"
+        _, meta = load_checkpoint(fixture)
+        assert {"init_scale", "decay_exempt_markers"} <= set(meta["model_config"])
+        model = PrefixLM.load(fixture)
+        assert model.config.hidden_size == 64
+        path = tmp_path / "model.bin"
+        model.save(path)
+        _, saved = load_checkpoint(path)
+        assert not {"init_scale", "decay_exempt_markers"} & set(saved["model_config"])
+        reloaded = PrefixLM.load(path)
+        for name, p in model.params.items():
+            assert np.array_equal(reloaded.params[name].data, p.data)
+            assert reloaded.params[name].decay_exempt == p.decay_exempt
+
+
+class TestSharedKernels:
+    def test_scorer_runs_the_training_forwards_kernels(self, monkeypatch):
+        """A perturbed ``autodiff.gelu_values`` moves the cached scorer with the forward."""
+        rng = np.random.default_rng(5)
+        lm = random_model(rng, 0)
+        source = rng.integers(0, lm.config.vocab_size, 9)
+        prefixes = [(), (4,), (4, 7), (4, 7, 1)]
+        before = [make_model_scorer(lm, STUB_VOCAB, source)(p) for p in prefixes]
+        gelu_values = ad.gelu_values
+        monkeypatch.setattr(ad, "gelu_values", lambda x: gelu_values(x + 0.5))
+        cached = make_model_scorer(lm, STUB_VOCAB, source)
+        oracle = full_recompute_scorer(lm, STUB_VOCAB, source)
+        for prefix, old in zip(prefixes, before):
+            moved = cached(prefix)
+            assert np.max(np.abs(moved - old)) > 1e-3
+            np.testing.assert_allclose(moved, oracle(prefix), rtol=0, atol=1e-12)
