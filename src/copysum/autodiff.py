@@ -286,34 +286,37 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Normalized exponentials of ``x`` along ``axis``, unchecked."""
-    out = x - x.max(axis=axis, keepdims=True)
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Normalized exponentials of ``x`` along its last axis, unchecked."""
+    out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along ``axis``; rejects non-finite input."""
+def softmax(a: Tensor) -> Tensor:
+    """Normalized exponentials along the last axis; rejects non-finite input."""
     a = ensure_tensor(a)
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax input contains non-finite values")
-    data = softmax_values(a.data, axis)
+    data = softmax_values(a.data)
 
     def vjp(u):
-        inner = (u * data).sum(axis=axis, keepdims=True)
+        inner = (u * data).sum(axis=-1, keepdims=True)
         return (data * (u - inner),)
 
     return _make(data, (a,), vjp)
 
 
-def log_softmax_values(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Plain-array log-softmax (no graph); used on the inference path."""
+def log_softmax_values(logits: np.ndarray) -> np.ndarray:
+    """Plain-array log-softmax along the last axis; rejects non-finite input."""
     if not np.all(np.isfinite(logits)):
         raise NumericError("log_softmax input contains non-finite values")
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+LN_EPS = 1e-6  # added to the variance before its square root
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,18 +327,18 @@ def _mean_column(n: int) -> np.ndarray:
     return column
 
 
-def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6):
+def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm over the last axis, ``(out, xhat, std)``.
 
     ``xhat`` is ``x`` at zero mean and unit variance, ``std`` the
-    ``sqrt(var + eps)`` it was divided by, and ``out = xhat * gain + bias``.
+    ``sqrt(var + LN_EPS)`` it was divided by, and ``out = xhat * gain + bias``.
     Row means are matrix products with a column of 1/n, which costs less
     than numpy's reductions on the one or two rows a decode step runs.
     """
     column = _mean_column(x.shape[-1])
     xhat = x - x @ column
     std = (xhat * xhat) @ column
-    std += eps
+    std += LN_EPS
     np.sqrt(std, out=std)
     xhat /= std
     out = xhat * gain
@@ -343,10 +346,10 @@ def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: fl
     return out, xhat, std
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a = ensure_tensor(a)
-    data, xhat, std = layer_norm_values(a.data, gain.data, bias.data, eps)
+    data, xhat, std = layer_norm_values(a.data, gain.data, bias.data)
     column = _mean_column(xhat.shape[-1])
 
     def vjp(u):
@@ -425,7 +428,8 @@ def cross_entropy_from_logits(
     """Negative log-likelihood of ``targets`` under row-wise softmax(logits).
 
     ``logits`` is (N, V), ``targets`` (N,) integer ids. Reduction is "mean"
-    or "sum" over the N rows.
+    or "sum" over the N rows. The loss is ``-log_softmax_values`` at the
+    targets and its gradient ``softmax_values`` minus the one-hot targets.
     """
     if reduction not in ("mean", "sum"):
         raise ContractError(f"unknown reduction {reduction!r}")
@@ -435,15 +439,13 @@ def cross_entropy_from_logits(
         raise ContractError("cross entropy expects (N, V) logits and (N,) targets")
     if targets.size == 0:
         raise ContractError("cross entropy over zero rows")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    lse = np.log(e.sum(axis=-1)) + x.max(axis=-1)
     rows = np.arange(x.shape[0])
-    losses = lse - x[rows, targets]
+    losses = -log_softmax_values(x)[rows, targets]
     data = np.asarray(losses.mean() if reduction == "mean" else losses.sum())
     n = x.shape[0]
 
     def vjp(u):
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = softmax_values(x)
         p[rows, targets] -= 1.0
         scale = u / n if reduction == "mean" else u
         return (p * scale,)

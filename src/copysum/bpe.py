@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -26,25 +26,29 @@ MASK_TOKEN = "[MASK]"
 UNK_TOKEN = "[UNK]"
 
 VOCAB_HEADER = "#copysum-vocab v1"
+WORD_CACHE_SIZE = 1 << 16
 
 
 @dataclass
 class Vocabulary:
-    """Immutable after training: id<->token bijection plus ordered merges."""
+    """Immutable after training: id<->token bijection plus ordered merges.
+
+    Each instance caches the ids of its ``WORD_CACHE_SIZE`` most recently
+    encoded words. The cache is not a field, so it takes no part in ``==``.
+    """
 
     id_to_token: list[str]
     merges: list[tuple[str, str]]
     unk_policy: str = "replace"  # or "error"
     token_to_id: dict[str, int] = field(init=False)
     merge_rank: dict[tuple[str, str], int] = field(init=False)
-    _word_cache: dict[str, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ContractError("duplicate token in vocabulary")
         self.merge_rank = {pair: i for i, pair in enumerate(self.merges)}
-        self._word_cache = {}
+        self._encode_word = lru_cache(maxsize=WORD_CACHE_SIZE)(self._word_ids)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -92,10 +96,8 @@ class Vocabulary:
             symbols = _merge_pair(symbols, self.merges[best_rank])
         return symbols
 
-    def _encode_word(self, word: str) -> tuple[int, ...]:
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
+    def _word_ids(self, word: str) -> tuple[int, ...]:
+        """Token ids of one word, uncached (``_encode_word`` caches them)."""
         ids = []
         for sym in self._merge_word(word):
             tok_id = self.token_to_id.get(sym)
@@ -104,9 +106,7 @@ class Vocabulary:
                     raise ContractError(f"symbol {sym!r} not in vocabulary")
                 tok_id = self.token_to_id[UNK_TOKEN]
             ids.append(tok_id)
-        result = tuple(ids)
-        self._word_cache[word] = result
-        return result
+        return tuple(ids)
 
     def encode(self, text: str) -> list[int]:
         """Token ids for normalized ``text``; never emits special ids."""

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import metrics
 from .bpe import Vocabulary, train_bpe
-from .data import CorpusRecord, SynthConfig, ingest, synth_generate, write_pairs
+from .data import CorpusRecord, SynthConfig, ingest, read_text, synth_generate, write_pairs
 from .decoding import RerankConfig, SearchConfig, decode_record
 from .errors import ConfigError, ContractError, CorpusError, NumericError
 from .model import ModelConfig, PrefixLM
@@ -210,10 +210,7 @@ def _resolve_sampling(opts) -> SamplingConfig:
 
 def cmd_build_vocab(opts) -> int:
     if opts.format == "text":
-        try:
-            lines = Path(opts.corpus).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise CorpusError(f"{opts.corpus}: unreadable ({exc})") from exc
+        lines = read_text(opts.corpus).splitlines()
     else:
         records, _ = ingest(opts.corpus, opts.format)
         lines = list(_corpus_lines(records))
@@ -251,7 +248,7 @@ def _train_one(
             "summary": "run",
             "skipped_examples": report.skipped_examples,
             "valid_skipped": report.valid_skipped,
-            "truncated": report.truncation_stats.get("truncated", 0),
+            "truncated": report.truncated,
             "sampling": asdict(sampling),
         }
     )
@@ -314,21 +311,27 @@ def cmd_decode(opts) -> int:
 
 
 def _read_lines(path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"{path}: unreadable ({exc})") from exc
-    lines = text.split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
 
 
 def _read_hypotheses(path) -> list[str]:
+    """Lines of ``path``, or each row's "summary" when it is a .jsonl file."""
     lines = _read_lines(path)
-    if str(path).endswith(".jsonl"):
-        return [str(json.loads(line).get("summary", "")) for line in lines]
-    return lines
+    if not str(path).endswith(".jsonl"):
+        return lines
+    summaries = []
+    for line_no, line in enumerate(lines, 1):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {line_no}: not JSON ({exc})") from exc
+        if not isinstance(row, dict):
+            raise CorpusError(f"{path}: line {line_no}: not a JSON object")
+        summaries.append(str(row.get("summary", "")))
+    return summaries
 
 
 def cmd_evaluate(opts) -> int:

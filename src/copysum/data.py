@@ -69,6 +69,14 @@ def _parse_pairs_line(line: str, line_no: int) -> CorpusRecord | None:
     )
 
 
+def read_text(path) -> str:
+    """UTF-8 text of ``path``; an unreadable file raises ``CorpusError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{path}: unreadable ({exc})") from exc
+
+
 def ingest(path, fmt: str = "pairs") -> tuple[list[CorpusRecord], dict]:
     """Read source/summary pairs; skips (and counts) malformed entries.
 
@@ -78,10 +86,7 @@ def ingest(path, fmt: str = "pairs") -> tuple[list[CorpusRecord], dict]:
     """
     if fmt not in ("pairs", "article"):
         raise ConfigError(f"unknown corpus format {fmt!r}")
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"{path}: unreadable ({exc})") from exc
+    raw = read_text(path)
 
     records: list[CorpusRecord] = []
     malformed = 0

@@ -25,11 +25,10 @@ NEG_INF = float("-inf")
 
 @dataclass
 class Hypothesis:
-    """A partial or completed summary with its accumulated log-probability."""
+    """A completed summary (its last id is the end token) and its summed log-probability."""
 
     ids: tuple[int, ...]
     score: float
-    completed: bool
 
 
 @dataclass
@@ -141,7 +140,7 @@ def best_first_search(scorer, config: SearchConfig):
         neg_score, _, ids = heapq.heappop(heap)
         score = -neg_score
         if ids and ids[-1] == config.end_id:
-            pool.append(Hypothesis(ids=ids, score=score, completed=True))
+            pool.append(Hypothesis(ids=ids, score=score))
             continue
         if len(ids) >= config.max_summary_len:
             diag.overlong += 1  # finalized as failed, never enters the pool
@@ -181,7 +180,7 @@ def beam_search(scorer, config: SearchConfig):
         for score, ids in candidates[: config.k]:
             if ids[-1] == config.end_id:
                 if len(pool) < config.pool_size:
-                    pool.append(Hypothesis(ids=ids, score=score, completed=True))
+                    pool.append(Hypothesis(ids=ids, score=score))
             else:
                 beam.append((ids, score))
     return pool, diag

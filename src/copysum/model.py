@@ -2,7 +2,8 @@
 
 One stack both encodes and generates: source positions attend to the whole
 source bidirectionally while summary positions attend causally, which is
-what the binary attention mask encodes. The output projection shares
+what the binary attention mask encodes. ``PrefixLM.__init__`` alone lays
+out the parameters, and decides whether the output projection shares
 storage with the token embedding (structural tying, not a copy).
 ``PromptCache`` runs the same stack for decoding without an autodiff graph,
 keeping each record's keys and values between calls; its layer norm, GELU
@@ -28,8 +29,6 @@ MASK_BIAS = -1e9
 
 # Standard deviation of the normal initial weights
 INIT_SCALE = 0.02
-# Parameters whose name holds one of these get no weight decay
-DECAY_EXEMPT_MARKERS = ("bias", "_ln_")
 
 ARCH_PRESETS = {
     "tiny": dict(num_layers=2, hidden_size=16, num_heads=2, feed_forward_size=32),
@@ -168,7 +167,12 @@ def build_attention_mask(source_len: int, total_len: int) -> np.ndarray:
 
 
 class PrefixLM:
-    """Transformer with per-sequence prefix-bidirectional attention."""
+    """Transformer with per-sequence prefix-bidirectional attention.
+
+    ``params`` holds every parameter by name, in creation order; ``emb_ln``
+    (gain, bias), ``layers`` (per layer, keyed by the name after ``layer{i}.``)
+    and ``out_emb`` (``tok_emb`` itself when tied) hold them by role.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -183,30 +187,33 @@ class PrefixLM:
                 values = np.zeros(shape)
             else:
                 values = np.ones(shape)
-            exempt = any(marker in name for marker in DECAY_EXEMPT_MARKERS)
-            p = Parameter(values, name=name, decay_exempt=exempt)
+            # weights decay; biases and layer-norm gains, which start constant, do not
+            p = Parameter(values, name=name, decay_exempt=init != "normal")
             self.params[name] = p
             return p
 
         self.tok_emb = param("tok_emb", (config.vocab_size, h))
         self.pos_emb = param("pos_emb", (config.max_positions, h))
         self.seg_emb = param("seg_emb", (2, h))
-        param("emb_ln_gain", (h,), "ones")
-        param("emb_ln_bias", (h,), "zeros")
-        for i in range(config.num_layers):
-            for proj in ("q", "k", "v", "out"):
-                param(f"layer{i}.attn_{proj}_weight", (h, h))
-                param(f"layer{i}.attn_{proj}_bias", (h,), "zeros")
-            param(f"layer{i}.attn_ln_gain", (h,), "ones")
-            param(f"layer{i}.attn_ln_bias", (h,), "zeros")
-            param(f"layer{i}.ff_in_weight", (h, f))
-            param(f"layer{i}.ff_in_bias", (f,), "zeros")
-            param(f"layer{i}.ff_out_weight", (f, h))
-            param(f"layer{i}.ff_out_bias", (h,), "zeros")
-            param(f"layer{i}.ff_ln_gain", (h,), "ones")
-            param(f"layer{i}.ff_ln_bias", (h,), "zeros")
-        if not config.tie_embeddings:
-            param("out_emb", (config.vocab_size, h))
+        self.emb_ln = (param("emb_ln_gain", (h,), "ones"), param("emb_ln_bias", (h,), "zeros"))
+        layer_layout = []
+        for proj in ("q", "k", "v", "out"):
+            layer_layout += [(f"attn_{proj}_weight", (h, h), "normal"),
+                             (f"attn_{proj}_bias", (h,), "zeros")]
+        layer_layout += [
+            ("attn_ln_gain", (h,), "ones"), ("attn_ln_bias", (h,), "zeros"),
+            ("ff_in_weight", (h, f), "normal"), ("ff_in_bias", (f,), "zeros"),
+            ("ff_out_weight", (f, h), "normal"), ("ff_out_bias", (h,), "zeros"),
+            ("ff_ln_gain", (h,), "ones"), ("ff_ln_bias", (h,), "zeros"),
+        ]
+        self.layers = [
+            {name: param(f"layer{i}.{name}", shape, init) for name, shape, init in layer_layout}
+            for i in range(config.num_layers)
+        ]
+        if config.tie_embeddings:
+            self.out_emb = self.tok_emb
+        else:
+            self.out_emb = param("out_emb", (config.vocab_size, h))
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -272,23 +279,22 @@ class PrefixLM:
             (probs, attn.reshape(rows), ff.reshape(rows)) for probs, attn, ff in layers
         ]
 
-    def _attention(self, x: Tensor, mask_bias: np.ndarray, i: int, keep) -> Tensor:
+    def _attention(self, x: Tensor, mask_bias: np.ndarray, layer: dict, keep) -> Tensor:
         """Self-attention over (B*T, h) rows; heads work on (B, H, T, d)."""
         cfg = self.config
         n_heads = cfg.num_heads
         head = cfg.hidden_size // n_heads
         size, _, width, _ = mask_bias.shape
-        p = self.params
 
         def project(m: Tensor, name: str) -> Tensor:
-            return ad.matmul(m, p[f"layer{i}.attn_{name}_weight"], p[f"layer{i}.attn_{name}_bias"])
+            return ad.matmul(m, layer[f"attn_{name}_weight"], layer[f"attn_{name}_bias"])
 
         def split_heads(m: Tensor) -> Tensor:
             return ad.transpose(ad.reshape(m, (size, width, n_heads, head)), (0, 2, 1, 3))
 
         q, k, v = (split_heads(project(x, name)) for name in ("q", "k", "v"))
         scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(head))
-        probs = ad.dropout(ad.softmax(scores + mask_bias, axis=-1), keep, cfg.dropout)
+        probs = ad.dropout(ad.softmax(scores + mask_bias), keep, cfg.dropout)
         ctx = ad.reshape(ad.transpose(probs @ v, (0, 2, 1, 3)), (size * width, cfg.hidden_size))
         return project(ctx, "out")
 
@@ -305,31 +311,24 @@ class PrefixLM:
         expected = (width, width) if isinstance(seq, JointSequence) else (size, width, width)
         if mask.shape != expected:
             raise ContractError(f"mask shape {mask.shape} does not match {expected}")
-        p, rate = self.params, self.config.dropout
+        rate = self.config.dropout
         # 0 where allowed, -1e9 where not; one row of keys per example,
         # broadcast over the heads
         mask_bias = ((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width)
         keep_emb, keep_layers = self._dropout_keeps(batch, rng)
-        x = ad.layer_norm(self.embed(batch), p["emb_ln_gain"], p["emb_ln_bias"])
+        x = ad.layer_norm(self.embed(batch), *self.emb_ln)
         x = ad.dropout(x, keep_emb, rate)
-        for i, (keep_probs, keep_attn, keep_ff) in enumerate(keep_layers):
-            attn = ad.dropout(self._attention(x, mask_bias, i, keep_probs), keep_attn, rate)
-            x = ad.layer_norm(
-                x + attn, p[f"layer{i}.attn_ln_gain"], p[f"layer{i}.attn_ln_bias"]
-            )
-            ff = ad.gelu(ad.matmul(x, p[f"layer{i}.ff_in_weight"], p[f"layer{i}.ff_in_bias"]))
-            ff = ad.matmul(ff, p[f"layer{i}.ff_out_weight"], p[f"layer{i}.ff_out_bias"])
-            x = ad.layer_norm(
-                x + ad.dropout(ff, keep_ff, rate),
-                p[f"layer{i}.ff_ln_gain"],
-                p[f"layer{i}.ff_ln_bias"],
-            )
+        for w, (keep_probs, keep_attn, keep_ff) in zip(self.layers, keep_layers):
+            attn = ad.dropout(self._attention(x, mask_bias, w, keep_probs), keep_attn, rate)
+            x = ad.layer_norm(x + attn, w["attn_ln_gain"], w["attn_ln_bias"])
+            ff = ad.gelu(ad.matmul(x, w["ff_in_weight"], w["ff_in_bias"]))
+            ff = ad.matmul(ff, w["ff_out_weight"], w["ff_out_bias"])
+            x = ad.layer_norm(x + ad.dropout(ff, keep_ff, rate), w["ff_ln_gain"], w["ff_ln_bias"])
         return x
 
     def predict_logits(self, states: Tensor) -> Tensor:
-        """Vocabulary logits, sharing the embedding matrix when tied."""
-        out = self.params["out_emb"] if not self.config.tie_embeddings else self.tok_emb
-        return states @ ad.transpose(out, (1, 0))
+        """Vocabulary logits from the output projection ``out_emb``."""
+        return states @ ad.transpose(self.out_emb, (1, 0))
 
     # -- persistence ---------------------------------------------------------
 
@@ -389,7 +388,7 @@ class PromptCache:
                  "_source", "_paths")
 
     def __init__(self, model: PrefixLM, prompt_ids, mask_id: int):
-        cfg, p = model.config, model.params
+        cfg = model.config
         ids = np.asarray(prompt_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
             raise ContractError("token id out of vocabulary range")
@@ -399,22 +398,17 @@ class PromptCache:
             )
         self._mask_id = mask_id
         self._limit = cfg.max_positions
-        self._embed = (p["tok_emb"].data, p["pos_emb"].data, p["seg_emb"].data,
-                       p["emb_ln_gain"].data, p["emb_ln_bias"].data)
+        self._embed = tuple(t.data for t in (model.tok_emb, model.pos_emb, model.seg_emb,
+                                             *model.emb_ln))
         self._layers = []
-        for i in range(cfg.num_layers):
-            w = {name[len(f"layer{i}."):]: t.data for name, t in p.items()
-                 if name.startswith(f"layer{i}.")}
+        for layer in model.layers:
+            w = {name: t.data for name, t in layer.items()}
             # q, k and v in one (h, 3h) projection
             qkv_w = np.concatenate([w[f"attn_{n}_weight"] for n in "qkv"], axis=1)
             qkv_b = np.concatenate([w[f"attn_{n}_bias"] for n in "qkv"])
-            self._layers.append((
-                qkv_w, qkv_b, w["attn_out_weight"], w["attn_out_bias"],
-                w["attn_ln_gain"], w["attn_ln_bias"], w["ff_in_weight"], w["ff_in_bias"],
-                w["ff_out_weight"], w["ff_out_bias"], w["ff_ln_gain"], w["ff_ln_bias"],
-            ))
+            self._layers.append((qkv_w, qkv_b, w))
         self._heads = cfg.num_heads
-        self._out = (p["out_emb"] if not cfg.tie_embeddings else p["tok_emb"]).data
+        self._out = model.out_emb.data
         self.rows = 0
         # per row and layer, its keys then its values: the k and v columns
         # of the fused projection
@@ -471,8 +465,7 @@ class PromptCache:
         self.rows += len(x)
         # (row, layer, keys or values, head, d)
         heads_kv = kv.reshape(len(kv), n_layers, 2, heads, size)
-        for i, layer in enumerate(self._layers):
-            qkv_w, qkv_b, out_w, out_b, ln1_g, ln1_b, in_w, in_b, ff_w, ff_b, ln2_g, ln2_b = layer
+        for i, (qkv_w, qkv_b, w) in enumerate(self._layers):
             qkv = x @ qkv_w
             qkv += qkv_b
             kv[past:, i] = qkv[:, hidden:]
@@ -487,12 +480,12 @@ class PromptCache:
                 scores[..., past:] += _PAIR_BIAS
             probs = ad.softmax_values(scores)
             ctx = probs @ heads_kv[:, i, 1].transpose(1, 0, 2)
-            attn = ctx.transpose(1, 0, 2).reshape(len(x), hidden) @ out_w
-            attn += out_b
-            x = ad.layer_norm_values(x + attn, ln1_g, ln1_b)[0]
-            ff = x @ in_w
-            ff += in_b
-            ff = ad.gelu_values(ff)[0] @ ff_w
-            ff += ff_b
-            x = ad.layer_norm_values(x + ff, ln2_g, ln2_b)[0]
+            attn = ctx.transpose(1, 0, 2).reshape(len(x), hidden) @ w["attn_out_weight"]
+            attn += w["attn_out_bias"]
+            x = ad.layer_norm_values(x + attn, w["attn_ln_gain"], w["attn_ln_bias"])[0]
+            ff = x @ w["ff_in_weight"]
+            ff += w["ff_in_bias"]
+            ff = ad.gelu_values(ff)[0] @ w["ff_out_weight"]
+            ff += w["ff_out_bias"]
+            x = ad.layer_norm_values(x + ff, w["ff_ln_gain"], w["ff_ln_bias"])[0]
         return x[-1]

@@ -23,25 +23,18 @@ class AdamState:
     v: np.ndarray
 
 
+# Adam's moment decay rates and the floor added to its denominator
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class AdamW:
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ContractError(f"invalid betas ({beta1}, {beta2})")
-        if lr < 0.0 or eps <= 0.0 or weight_decay < 0.0:
-            raise ContractError("lr and weight_decay must be >= 0, eps > 0")
+    def __init__(self, params: list[Parameter], lr: float = 1e-3, weight_decay: float = 0.01):
+        if lr < 0.0 or weight_decay < 0.0:
+            raise ContractError("lr and weight_decay must be >= 0")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.states = [
             AdamState(0, np.zeros_like(p.data), np.zeros_like(p.data))
@@ -63,11 +56,11 @@ class AdamW:
             g = p.grad
             state.step_count += 1
             t = state.step_count
-            state.m = self.beta1 * state.m + (1.0 - self.beta1) * g
-            state.v = self.beta2 * state.v + (1.0 - self.beta2) * (g * g)
-            m_hat = state.m / (1.0 - self.beta1**t)
-            v_hat = state.v / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            state.m = BETA1 * state.m + (1.0 - BETA1) * g
+            state.v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
+            m_hat = state.m / (1.0 - BETA1**t)
+            v_hat = state.v / (1.0 - BETA2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
             if self.weight_decay and not p.decay_exempt:
                 p.data -= self.lr * self.weight_decay * p.data
 

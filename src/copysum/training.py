@@ -110,14 +110,11 @@ def build_joint_sequence(
     example: TrainingExample,
     vocab: Vocabulary,
     max_positions: int,
-    stats: dict | None = None,
 ) -> JointSequence:
     """[START, source..., END, summary..., END] with source-tail truncation."""
     if len(example.source_ids) == 0 or len(example.summary_ids) == 0:
         raise ContractError("source and summary must both be non-empty")
     source = fit_source(example.source_ids, len(example.summary_ids), max_positions)
-    if len(source) < len(example.source_ids) and stats is not None:
-        stats["truncated"] = stats.get("truncated", 0) + 1
     ids = np.concatenate(
         (
             [vocab.start_id],
@@ -235,13 +232,14 @@ class TrainReport:
 
     ``skipped_examples`` counts training examples that selected no position,
     over all epochs; ``valid_skipped`` counts those of the validation draw,
-    which is the same every epoch.
+    which is the same every epoch. ``truncated`` counts the training and
+    validation examples whose source lost its tail to fit.
     """
 
     records: list[dict] = field(default_factory=list)
     skipped_examples: int = 0
     valid_skipped: int = 0
-    truncation_stats: dict = field(default_factory=dict)
+    truncated: int = 0
 
     def log(self, **kv) -> None:
         self.records.append(kv)
@@ -274,7 +272,10 @@ def prepare_sequences(
 ) -> list[tuple[JointSequence, np.ndarray]]:
     out = []
     for ex in examples:
-        seq = build_joint_sequence(ex, vocab, max_positions, report.truncation_stats)
+        seq = build_joint_sequence(ex, vocab, max_positions)
+        # the source segment is START, the source tokens kept and END
+        if seq.source_len < len(ex.source_ids) + 2:
+            report.truncated += 1
         out.append((seq, categorize_tokens(seq, vocab)))
     return out
 

@@ -226,7 +226,6 @@ def test_criterion_07_reranker_identities():
         hyp = Hypothesis(
             ids=tuple(ids) + (vocab.end_id,),
             score=float(-rng.uniform(0.05, 9.0)),
-            completed=True,
         )
         ranked = rerank([hyp], config, vocab=vocab, source_text=source)
         words = hypothesis_text(vocab, hyp).split()
@@ -250,7 +249,6 @@ def test_criterion_07_reranker_identities():
             Hypothesis(
                 ids=tuple(ids) + (vocab.end_id,),
                 score=float(-rng.uniform(0, 6)),
-                completed=True,
             )
         )
     plain = rerank(pool, RerankConfig(method="none"))
@@ -261,7 +259,7 @@ def test_criterion_07_reranker_identities():
 
     # length normalization worked example
     ranked = rerank(
-        [Hypothesis(ids=(5, vocab.end_id), score=-4.0, completed=True)],
+        [Hypothesis(ids=(5, vocab.end_id), score=-4.0)],
         RerankConfig(method="length_norm"),
     )
     assert ranked[0].rerank_score == pytest.approx(-2.0)

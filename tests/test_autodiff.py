@@ -95,7 +95,7 @@ class TestBackward:
         def loss_fn():
             e = ad.embedding(table, ids)
             h = ad.layer_norm(e, gain, bias)
-            h = ad.softmax(h @ ad.transpose(w, (1, 0)), axis=-1)
+            h = ad.softmax(h @ ad.transpose(w, (1, 0)))
             picked = ad.take_rows(h, rows)
             return ad.tensor_mean(picked * picked)
 
@@ -115,6 +115,22 @@ class TestBackward:
         mean = ad.cross_entropy_from_logits(logits, np.array([1, 2, 0]), "mean")
         total = ad.cross_entropy_from_logits(logits, np.array([1, 2, 0]), "sum")
         assert mean.item() == pytest.approx(total.item() / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_cross_entropy_is_the_shared_softmax_kernels(self, rng, reduction):
+        """Loss is -log_softmax_values at the targets; its gradient is
+        softmax_values minus the one-hot targets, scaled by the reduction."""
+        x = rng.normal(0.0, 3.0, size=(6, 5))
+        targets = np.array([0, 4, 2, 2, 1, 3])
+        logits = Parameter(x.copy(), name="logits")
+        loss = ad.cross_entropy_from_logits(logits, targets, reduction)
+        loss.backward()
+        losses = -ad.log_softmax_values(x)[np.arange(6), targets]
+        expected = losses.mean() if reduction == "mean" else losses.sum()
+        assert loss.item() == pytest.approx(expected, rel=1e-14)
+        scale = 1.0 / 6 if reduction == "mean" else 1.0
+        grad = (ad.softmax_values(x) - np.eye(5)[targets]) * scale
+        np.testing.assert_allclose(logits.grad, grad, rtol=0, atol=1e-15)
 
 
 class TestShapes:

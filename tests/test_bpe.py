@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from copysum import bpe
 from copysum.bpe import (
     END_TOKEN,
     MASK_TOKEN,
@@ -144,3 +147,22 @@ def test_every_truncation_of_a_vocabulary_file_names_it(tmp_path):
         with pytest.raises(ContractError) as exc:
             Vocabulary.load(cut)
         assert str(exc.value).startswith(f"{cut}: ")
+
+
+FIXTURE_VOCAB = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "vocab.txt"
+
+
+def test_encoding_leaves_equality_alone():
+    a, b = Vocabulary.load(FIXTURE_VOCAB), Vocabulary.load(FIXTURE_VOCAB)
+    a.encode("bebe dadi kaki")
+    assert a == b
+
+
+def test_word_cache_stays_at_its_bound(monkeypatch):
+    monkeypatch.setattr(bpe, "WORD_CACHE_SIZE", 8)
+    small = Vocabulary.load(FIXTURE_VOCAB)
+    words = [a + b + c for a in "bdfg" for b in "aei" for c in "km"]
+    text = " ".join(words)
+    ids = small.encode(text)
+    assert small._encode_word.cache_info().currsize == 8
+    assert ids == small.encode(text) == Vocabulary.load(FIXTURE_VOCAB).encode(text)

@@ -376,6 +376,56 @@ class TestBadInputFiles:
         assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")
 
 
+class TestUnreadableTextInputs:
+    """Input text that is not UTF-8, or a hypotheses row that is not a JSON
+    object, is a one-line error naming the file, exit 1."""
+
+    NOT_UTF8 = b'{"source": "a b c", "summary": "a b"}\n\xff\xfe not text\n'
+    VOCAB, CHECKPOINT = str(FIXTURES / "vocab.txt"), str(FIXTURES / "checkpoint.bin")
+
+    @pytest.mark.parametrize("argv", [
+        ["build-vocab", "--corpus", "BAD", "--output", "OUT"],
+        ["build-vocab", "--corpus", "BAD", "--format", "article", "--output", "OUT"],
+        ["build-vocab", "--corpus", "BAD", "--format", "text", "--output", "OUT"],
+        ["train", "--train", "BAD", "--vocab", VOCAB, "--checkpoint", "OUT"],
+        ["decode", "--checkpoint", CHECKPOINT, "--vocab", VOCAB, "--input", "BAD",
+         "--output", "OUT"],
+        ["evaluate", "--hypotheses", "BAD", "--corpus", "GOOD"],
+        ["evaluate", "--hypotheses", "GOOD", "--corpus", "BAD"],
+        ["evaluate", "--hypotheses", "GOOD", "--references", "BAD", "--sources", "GOOD"],
+        ["sweep", "--corpus-dir", "DIR", "--output-dir", "OUT"],
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys, argv):
+        (tmp_path / "dir").mkdir()
+        bad = tmp_path / "dir" / "train.jsonl"
+        bad.write_bytes(self.NOT_UTF8)
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"source": "a b c", "summary": "a b"}\n')
+        names = {"BAD": bad, "GOOD": good, "DIR": tmp_path / "dir", "OUT": tmp_path / "out"}
+        rc = main([str(names.get(arg, arg)) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: unreadable ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row, problem", [
+        ("not json", "not JSON"),
+        ('["a list"]', "not a JSON object"),
+        ('"a string"', "not a JSON object"),
+    ])
+    def test_hypotheses_row_that_is_not_an_object(self, tmp_path, capsys, row, problem):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text('{"summary": "a b"}\n' + row + "\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b\na c\n")
+        rc = main(["evaluate", "--hypotheses", str(hyps), "--references", str(refs),
+                   "--sources", str(refs)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {hyps}: line 2: {problem}")
+        assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

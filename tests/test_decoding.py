@@ -64,7 +64,6 @@ class TestBestFirst:
         cfg = SearchConfig(end_id=END, k=2, answer_pool_size=1, trigram_blocking=False)
         pool, _ = best_first_search(lm, cfg)
         assert pool[0].ids == (END,)
-        assert pool[0].completed
 
     def test_all_results_end_terminated_with_monotone_scores(self):
         lm = TableLM(4, seed=77, alpha=0.8)
@@ -251,13 +250,13 @@ class TestPredictLength:
 
 class TestRerank:
     def test_length_norm_example(self):
-        hyp = Hypothesis(ids=(5, END), score=-4.0, completed=True)
+        hyp = Hypothesis(ids=(5, END), score=-4.0)
         ranked = rerank([hyp], RerankConfig(method="length_norm"))
         assert ranked[0].rerank_score == pytest.approx(-2.0)
 
     def test_bp_norm_unit_rate_drops_penalty(self, tiny_vocab):
         ids = tuple(tiny_vocab.encode("bad keg")) + (tiny_vocab.end_id,)
-        hyp = Hypothesis(ids=ids, score=-1.5, completed=True)
+        hyp = Hypothesis(ids=ids, score=-1.5)
         cfg = RerankConfig(method="bp_norm", c=1.0)
         ranked = rerank([hyp], cfg, vocab=tiny_vocab, source_text="bad keg lim")
         # fully copied, c=1 -> r=1 -> log bp = 0 -> plain length norm
@@ -266,7 +265,7 @@ class TestRerank:
     def test_bp_norm_splits_source_words_as_metrics_do(self, tiny_vocab):
         """A source word joined by the tokenizer's end-of-word marker is two words."""
         ids = tuple(tiny_vocab.encode("bad keg")) + (tiny_vocab.end_id,)
-        hyp = Hypothesis(ids=ids, score=-1.5, completed=True)
+        hyp = Hypothesis(ids=ids, score=-1.5)
         source = f"Bad{WORD_END}KEG lim"
         assert split_words(source)[:2] == ["bad", "keg"] != source.lower().split()[:2]
         assert copy_rate("bad keg", source, 1) == 100.0
@@ -294,7 +293,6 @@ class TestRerank:
             hyp = Hypothesis(
                 ids=tuple(ids) + (tiny_vocab.end_id,),
                 score=float(-rng.uniform(0.1, 8.0)),
-                completed=True,
             )
             ranked = rerank([hyp], cfg, vocab=tiny_vocab, source_text=source)
             got = ranked[0].rerank_score
@@ -311,7 +309,7 @@ class TestRerank:
             ids = tuple(tiny_vocab.encode("bad keg lim"[: 3 + (i % 3) * 4])) + (
                 tiny_vocab.end_id,
             )
-            pool.append(Hypothesis(ids=ids, score=float(-rng.uniform(0, 5)), completed=True))
+            pool.append(Hypothesis(ids=ids, score=float(-rng.uniform(0, 5))))
         plain = rerank(pool, RerankConfig(method="none"))
         zero = rerank(
             pool, RerankConfig(method="sbwr", r_sbwr=0.0),
@@ -321,16 +319,16 @@ class TestRerank:
 
     def test_sbwr_logistic_reward_value(self, tiny_vocab):
         ids = tuple(tiny_vocab.encode("bad keg lim")) + (tiny_vocab.end_id,)
-        hyp = Hypothesis(ids=ids, score=-2.0, completed=True)
+        hyp = Hypothesis(ids=ids, score=-2.0)
         cfg = RerankConfig(method="sbwr", r_sbwr=0.25)
         ranked = rerank([hyp], cfg, vocab=tiny_vocab, predicted_length=2)
         # sigma(1) + sigma(0) + sigma(-1) = 1.5 exactly by symmetry
         assert ranked[0].rerank_score == pytest.approx(-2.0 + 0.25 * 1.5, abs=1e-12)
 
     def test_wordless_hypothesis_excluded_from_bp_norm(self, tiny_vocab):
-        empty = Hypothesis(ids=(tiny_vocab.end_id,), score=-0.1, completed=True)
+        empty = Hypothesis(ids=(tiny_vocab.end_id,), score=-0.1)
         real_ids = tuple(tiny_vocab.encode("bad")) + (tiny_vocab.end_id,)
-        real = Hypothesis(ids=real_ids, score=-3.0, completed=True)
+        real = Hypothesis(ids=real_ids, score=-3.0)
         ranked = rerank(
             [empty, real], RerankConfig(method="bp_norm"),
             vocab=tiny_vocab, source_text="bad keg",
@@ -344,7 +342,6 @@ class TestRerank:
             Hypothesis(
                 ids=tuple(tiny_vocab.encode("gem kid")) + (tiny_vocab.end_id,),
                 score=float(-rng.uniform(0, 5)),
-                completed=True,
             )
             for _ in range(6)
         ]

@@ -7,7 +7,10 @@ from copysum import autodiff as ad
 from copysum.checkpoint import load_checkpoint
 from copysum.decoding import make_model_scorer
 from copysum.errors import ConfigError, ContractError
+from copysum import model as model_module
 from copysum.model import (
+    ARCH_PRESETS,
+    INIT_SCALE,
     JointBatch,
     JointSequence,
     ModelConfig,
@@ -267,6 +270,63 @@ class TestConfigAndPersistence:
         for name, p in model.params.items():
             assert np.array_equal(reloaded.params[name].data, p.data)
             assert reloaded.params[name].decay_exempt == p.decay_exempt
+
+
+def marker_rule_layout(cfg: ModelConfig) -> list[tuple]:
+    """(name, shape, decay_exempt) in creation order, flagged by the name rule:
+    a parameter is decay-exempt iff its name holds "bias" or "_ln_"."""
+    h, f = cfg.hidden_size, cfg.feed_forward_size
+    shapes = [("tok_emb", (cfg.vocab_size, h)), ("pos_emb", (cfg.max_positions, h)),
+              ("seg_emb", (2, h)), ("emb_ln_gain", (h,)), ("emb_ln_bias", (h,))]
+    for i in range(cfg.num_layers):
+        for proj in ("q", "k", "v", "out"):
+            shapes += [(f"layer{i}.attn_{proj}_weight", (h, h)),
+                       (f"layer{i}.attn_{proj}_bias", (h,))]
+        shapes += [
+            (f"layer{i}.attn_ln_gain", (h,)), (f"layer{i}.attn_ln_bias", (h,)),
+            (f"layer{i}.ff_in_weight", (h, f)), (f"layer{i}.ff_in_bias", (f,)),
+            (f"layer{i}.ff_out_weight", (f, h)), (f"layer{i}.ff_out_bias", (h,)),
+            (f"layer{i}.ff_ln_gain", (h,)), (f"layer{i}.ff_ln_bias", (h,)),
+        ]
+    if not cfg.tie_embeddings:
+        shapes.append(("out_emb", (cfg.vocab_size, h)))
+    return [(name, shape, "bias" in name or "_ln_" in name) for name, shape in shapes]
+
+
+class ShapeOnlyParameter:
+    """Stands in for ``Parameter``: keeps a tensor's shape, not its values."""
+
+    def __init__(self, values, name="", decay_exempt=False):
+        self.name, self.decay_exempt = name, decay_exempt
+        self.shape = np.shape(values)
+        self.constant = bool(np.all(values == np.ravel(values)[0]))
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("preset", sorted(ARCH_PRESETS))
+    def test_layout_matches_name_marker_rule(self, preset, tied, monkeypatch):
+        """Every preset's names, order, shapes and decay flags follow the name
+        rule, and exactly the exempt parameters start constant. Parameters
+        keep shapes only, so the paper preset allocates no model."""
+        monkeypatch.setattr(model_module, "Parameter", ShapeOnlyParameter)
+        cfg = ModelConfig.preset(preset, vocab_size=50, max_positions=40, tie_embeddings=tied)
+        params = PrefixLM(cfg, seed=1).parameters()
+        assert [(p.name, p.shape, p.decay_exempt) for p in params] == marker_rule_layout(cfg)
+        assert [p.constant for p in params] == [p.decay_exempt for p in params]
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_initial_values_are_drawn_in_creation_order(self, tied):
+        cfg = ModelConfig.preset("tiny", vocab_size=50, max_positions=40, tie_embeddings=tied)
+        rng = np.random.default_rng(3)
+        params = PrefixLM(cfg, seed=3).parameters()
+        assert len(params) == len(marker_rule_layout(cfg))
+        for p, (name, shape, exempt) in zip(params, marker_rule_layout(cfg)):
+            if exempt:
+                expected = np.full(shape, 1.0 if name.endswith("_gain") else 0.0)
+            else:
+                expected = rng.normal(0.0, INIT_SCALE, size=shape)
+            np.testing.assert_array_equal(p.data, expected, err_msg=name)
 
 
 class TestSharedKernels:

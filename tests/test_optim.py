@@ -3,7 +3,7 @@ import pytest
 
 from copysum.autodiff import Parameter
 from copysum.errors import ContractError
-from copysum.optim import AdamW, PlateauHalver
+from copysum.optim import EPS, AdamW, PlateauHalver
 
 
 def test_zero_gradient_exempt_parameter_unchanged():
@@ -18,10 +18,9 @@ def test_first_step_magnitude_is_bias_corrected():
     # component moves by lr / (1 + eps)
     p = Parameter(np.zeros(4), name="w")
     p.grad[...] = 1.0
-    eps = 1e-8
-    opt = AdamW([p], lr=0.1, eps=eps, weight_decay=0.0)
+    opt = AdamW([p], lr=0.1, weight_decay=0.0)
     opt.step()
-    np.testing.assert_allclose(p.data, -0.1 / (1.0 + eps), rtol=1e-15)
+    np.testing.assert_allclose(p.data, -0.1 / (1.0 + EPS), rtol=1e-15)
     assert opt.states[0].step_count == 1
 
 

@@ -15,9 +15,11 @@ from copysum.training import (
     TokenCategory,
     TrainConfig,
     TrainingExample,
+    TrainReport,
     build_joint_sequence,
     categorize_tokens,
     compute_loss,
+    prepare_sequences,
     sample_and_corrupt,
     sampling_preset,
     train,
@@ -66,12 +68,12 @@ class TestJointSequence:
             build_joint_sequence(bad, word_vocab, max_positions=64)
 
     def test_truncation_drops_source_tail_only(self, word_vocab):
-        stats = {}
-        seq = build_joint_sequence(
-            example(word_vocab), word_vocab, max_positions=10, stats=stats
-        )
+        seq = build_joint_sequence(example(word_vocab), word_vocab, max_positions=10)
         assert len(seq) == 10
-        assert stats["truncated"] == 1
+        report = TrainReport()
+        short = example(word_vocab, source="elizabeth was taken")
+        prepare_sequences([example(word_vocab), short], word_vocab, 10, report)
+        assert report.truncated == 1
         summary_ids = word_vocab.encode(SUMMARY_TEXT)
         np.testing.assert_array_equal(seq.ids[seq.source_len : -1], summary_ids)
         # source kept its head
