@@ -19,11 +19,6 @@ from scipy.special import erf
 from .errors import ContractError, NumericError
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum out axes that numpy broadcasting introduced, back to ``shape``."""
     extra = grad.ndim - len(shape)
@@ -42,12 +37,10 @@ class Tensor:
     to per-parent gradients; it is None for leaves and constants.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "_parents", "_vjp")
 
-    def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_array(values)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+    def __init__(self, values):
+        self.data = np.asarray(values, dtype=np.float64)
         self._parents: tuple = ()
         self._vjp = None
 
@@ -62,12 +55,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def backward(self) -> None:
-        """Populate gradients of every reachable leaf for this scalar."""
+        """Add this scalar's gradient into every reachable ``Parameter``."""
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar, got shape {self.data.shape}"
@@ -93,7 +82,7 @@ class Tensor:
             grad = upstream.pop(id(node), None)
             if grad is None:
                 continue
-            if node.grad is not None:
+            if isinstance(node, Parameter):
                 node.grad += grad
             if node._vjp is None:
                 continue
@@ -101,10 +90,9 @@ class Tensor:
                 if pgrad is None:
                     continue
                 key = id(parent)
-                if key in upstream:
-                    upstream[key] += pgrad
-                else:
-                    upstream[key] = pgrad
+                # never in place: a vjp may hand out views of its upstream
+                # gradient, so one parent's stored gradient can alias another's
+                upstream[key] = upstream[key] + pgrad if key in upstream else pgrad
 
     # -- operator sugar -------------------------------------------------
 
@@ -118,19 +106,23 @@ class Tensor:
         return matmul(self, other)
 
     def __repr__(self) -> str:
-        flag = ", requires_grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Parameter(Tensor):
-    """A trainable leaf: named, gradient-carrying, optionally decay-exempt."""
+    """A trainable leaf: named, decay-exempt or not, and the only holder of a
+    gradient, which ``backward`` adds into and ``zero_grad`` clears."""
 
-    __slots__ = ("name", "decay_exempt")
+    __slots__ = ("name", "decay_exempt", "grad")
 
     def __init__(self, values, name: str = "", decay_exempt: bool = False):
-        super().__init__(values, requires_grad=True)
+        super().__init__(values)
         self.name = name
         self.decay_exempt = decay_exempt
+        self.grad = np.zeros_like(self.data)
+
+    def zero_grad(self) -> None:
+        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -142,20 +134,20 @@ def ensure_tensor(value) -> Tensor:
     return Tensor(value)
 
 
+def _on_grad_path(t: Tensor) -> bool:
+    return isinstance(t, Parameter) or bool(t._parents)
+
+
 def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Wrap an op result; ops off the grad path stay leaf-like constants."""
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if any(_on_grad_path(p) for p in parents):
         out._parents = parents
         out._vjp = vjp
     return out
 
 
 # -- arithmetic ----------------------------------------------------------
-
-
-def _on_grad_path(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
 
 
 def add(a, b) -> Tensor:
@@ -185,7 +177,6 @@ def mul(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus ``bias`` broadcast over the rows when given."""
-    a, b = ensure_tensor(a), ensure_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ContractError("matmul operands must be at least 2-D")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -209,7 +200,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
-    a = ensure_tensor(a)
     data = np.transpose(a.data, axes)
     inverse = tuple(np.argsort(axes))
 
@@ -220,7 +210,6 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    a = ensure_tensor(a)
     data = a.data.reshape(shape)
     original = a.data.shape
 
@@ -231,7 +220,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    a = ensure_tensor(a)
     data = np.asarray(a.data.sum())
     shape = a.data.shape
 
@@ -242,7 +230,6 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def tensor_mean(a: Tensor) -> Tensor:
-    a = ensure_tensor(a)
     n = a.data.size
     data = np.asarray(a.data.mean())
     shape = a.data.shape
@@ -269,7 +256,6 @@ def gelu_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact (erf) form."""
-    a = ensure_tensor(a)
     x = a.data
     data, cdf = gelu_values(x)
 
@@ -286,19 +272,31 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
+def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x`` less its row maxima, their exponentials, and those summed per row.
+
+    Rows run along the last axis; the sums keep it, with length 1.
+    """
+    shifted = x - x.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return shifted, exp, exp.sum(axis=-1, keepdims=True)
+
+
+def _require_finite(x: np.ndarray, op: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"{op} input contains non-finite values")
+
+
 def softmax_values(x: np.ndarray) -> np.ndarray:
     """Normalized exponentials of ``x`` along its last axis, unchecked."""
-    out = x - x.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    _, out, total = _shifted_exp(x)
+    out /= total
     return out
 
 
 def softmax(a: Tensor) -> Tensor:
     """Normalized exponentials along the last axis; rejects non-finite input."""
-    a = ensure_tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax input contains non-finite values")
+    _require_finite(a.data, "softmax")
     data = softmax_values(a.data)
 
     def vjp(u):
@@ -310,10 +308,9 @@ def softmax(a: Tensor) -> Tensor:
 
 def log_softmax_values(logits: np.ndarray) -> np.ndarray:
     """Plain-array log-softmax along the last axis; rejects non-finite input."""
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("log_softmax input contains non-finite values")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    _require_finite(logits, "log_softmax")
+    shifted, _, total = _shifted_exp(logits)
+    return shifted - np.log(total)
 
 
 LN_EPS = 1e-6  # added to the variance before its square root
@@ -348,7 +345,6 @@ def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    a = ensure_tensor(a)
     data, xhat, std = layer_norm_values(a.data, gain.data, bias.data)
     column = _mean_column(xhat.shape[-1])
 
@@ -375,7 +371,6 @@ def dropout(a: Tensor, keep: np.ndarray | None, rate: float) -> Tensor:
         return a
     if not 0.0 < rate < 1.0:
         raise ContractError("dropout rate must be in (0, 1)")
-    a = ensure_tensor(a)
     if keep.shape != a.data.shape:
         raise ContractError(f"dropout mask {keep.shape} does not match {a.data.shape}")
     scale = 1.0 / (1.0 - rate)
@@ -410,7 +405,6 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows along axis 0 (duplicates allowed)."""
-    a = ensure_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     data = a.data[idx]
 
@@ -429,7 +423,8 @@ def cross_entropy_from_logits(
 
     ``logits`` is (N, V), ``targets`` (N,) integer ids. Reduction is "mean"
     or "sum" over the N rows. The loss is ``-log_softmax_values`` at the
-    targets and its gradient ``softmax_values`` minus the one-hot targets.
+    targets and its gradient ``softmax_values`` minus the one-hot targets,
+    both from one ``_shifted_exp`` of the logits.
     """
     if reduction not in ("mean", "sum"):
         raise ContractError(f"unknown reduction {reduction!r}")
@@ -439,13 +434,15 @@ def cross_entropy_from_logits(
         raise ContractError("cross entropy expects (N, V) logits and (N,) targets")
     if targets.size == 0:
         raise ContractError("cross entropy over zero rows")
-    rows = np.arange(x.shape[0])
-    losses = -log_softmax_values(x)[rows, targets]
-    data = np.asarray(losses.mean() if reduction == "mean" else losses.sum())
+    _require_finite(x, "cross entropy")
+    shifted, exp, total = _shifted_exp(x)
     n = x.shape[0]
+    rows = np.arange(n)
+    losses = np.log(total[:, 0]) - shifted[rows, targets]
+    data = np.asarray(losses.mean() if reduction == "mean" else losses.sum())
 
     def vjp(u):
-        p = softmax_values(x)
+        p = exp / total
         p[rows, targets] -= 1.0
         scale = u / n if reduction == "mean" else u
         return (p * scale,)

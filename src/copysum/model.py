@@ -49,13 +49,14 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
+        if min(self.num_layers, self.hidden_size, self.num_heads, self.vocab_size,
+               self.max_positions, self.feed_forward_size) < 1:
+            raise ConfigError("model dimensions must be positive")
         if self.hidden_size % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by "
                 f"num_heads {self.num_heads}"
             )
-        if min(self.num_layers, self.vocab_size, self.max_positions) < 1:
-            raise ConfigError("model dimensions must be positive")
 
     @classmethod
     def preset(cls, name: str, vocab_size: int, max_positions: int = 256, **overrides):
@@ -334,26 +335,26 @@ class PrefixLM:
 
     def save(self, path) -> None:
         meta = {"schema_version": 1, "model_config": asdict(self.config)}
-        save_checkpoint(path, self.parameters(), meta)
+        save_checkpoint(path, {name: p.data for name, p in self.params.items()}, meta)
 
     @classmethod
     def load(cls, path) -> "PrefixLM":
-        params, meta = load_checkpoint(path)
+        arrays, meta = load_checkpoint(path)
         try:
             cfg_dict = dict(meta["model_config"])
             # older checkpoints also carry INIT_SCALE and DECAY_EXEMPT_MARKERS
             cfg_dict.pop("init_scale", None)
             cfg_dict.pop("decay_exempt_markers", None)
             config = ModelConfig(**cfg_dict)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ConfigError) as exc:
             raise ContractError(f"{path}: checkpoint has no usable model_config ({exc})") from exc
         model = cls(config)
-        if set(params) != set(model.params):
-            raise ContractError("checkpoint parameter names do not match the model")
-        for name, loaded in params.items():
-            if loaded.data.shape != model.params[name].data.shape:
-                raise ContractError(f"checkpoint shape mismatch for {name!r}")
-            model.params[name].data[...] = loaded.data
+        if set(arrays) != set(model.params):
+            raise ContractError(f"{path}: checkpoint parameter names do not match the model")
+        for name, values in arrays.items():
+            if values.shape != model.params[name].data.shape:
+                raise ContractError(f"{path}: checkpoint shape mismatch for {name!r}")
+            model.params[name].data[...] = values
         return model
 
 

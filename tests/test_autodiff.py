@@ -62,6 +62,15 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(w.grad, [12.0])
 
+    def test_sibling_gradients_do_not_alias(self):
+        """``add`` hands both parents views of one upstream gradient; adding
+        more into one parent's gradient must not write into the other's."""
+        a = Parameter([1.0, 2.0, 3.0], name="a")
+        b = Parameter([0.5, -1.0, 2.0], name="b")
+        ad.tensor_sum((a + b) + a * b).backward()
+        np.testing.assert_array_equal(a.grad, [1.5, 0.0, 3.0])  # 1 + b
+        np.testing.assert_array_equal(b.grad, [2.0, 3.0, 4.0])  # 1 + a
+
     def test_mlp_matches_finite_differences(self, rng):
         """Three-layer MLP gradient against the central-difference oracle."""
         x = rng.normal(0, 1, size=(4, 5))

@@ -361,6 +361,21 @@ class TestBadInputFiles:
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {ckpt}: ")
 
+    @pytest.mark.parametrize("before, after", [
+        (b'"num_heads": 4', b'"num_heads": 0'),  # hidden_size over zero heads
+        (b'"hidden_size": 64', b'"hidden_size": 65'),  # fails ModelConfig's checks
+        (b"\x07\x00tok_emb", b"\x05\x00tok_emb"),  # the first name cut: 98 axes
+    ])
+    def test_checkpoint_with_a_flipped_bit(self, tmp_path, capsys, before, after):
+        raw = (FIXTURES / "checkpoint.bin").read_bytes()
+        assert raw.count(before) == 1
+        assert sum(bin(x ^ y).count("1") for x, y in zip(before, after)) == 1
+        ckpt = tmp_path / "flipped.bin"
+        ckpt.write_bytes(raw.replace(before, after))
+        rc, err = self.decode(tmp_path, capsys, ckpt, FIXTURES / "vocab.txt")
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {ckpt}: ")
+
     def test_vocab_cut_inside_a_character(self, tmp_path, capsys):
         vocab = self.cut(FIXTURES / "vocab.txt", tmp_path, 200)
         assert vocab.read_bytes()[-1] >= 0x80  # the cut splits a multi-byte character
