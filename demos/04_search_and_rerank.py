@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from copysum import RerankConfig, SearchConfig, beam_search, best_first_search
-from copysum.decoding import rerank
+from copysum.decoding import rerank, rowwise
 
 # Vocabulary: 0=END, 1="rain", 2="heavy", 3="floods"
 NAMES = {0: "<end>", 1: "rain", 2: "heavy", 3: "floods"}
@@ -23,6 +23,7 @@ TABLE = {
 }
 
 
+@rowwise  # beam search scores its whole beam in one call
 def toy_lm(prefix):
     probs = TABLE.get(prefix, [0.7, 0.1, 0.1, 0.1])
     return np.log(np.asarray(probs))

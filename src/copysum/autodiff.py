@@ -277,13 +277,13 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Rows run along the last axis; the sums keep it, with length 1.
     """
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return shifted, exp, exp.sum(axis=-1, keepdims=True)
+    return shifted, exp, np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 def _require_finite(x: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{op} input contains non-finite values")
 
 
@@ -310,7 +310,8 @@ def log_softmax_values(logits: np.ndarray) -> np.ndarray:
     """Plain-array log-softmax along the last axis; rejects non-finite input."""
     _require_finite(logits, "log_softmax")
     shifted, _, total = _shifted_exp(logits)
-    return shifted - np.log(total)
+    shifted -= np.log(total)
+    return shifted
 
 
 LN_EPS = 1e-6  # added to the variance before its square root

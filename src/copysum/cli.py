@@ -387,6 +387,9 @@ def cmd_sweep(opts) -> int:
     vocab = train_bpe(list(_corpus_lines(splits["train"])), opts.vocab_size)
     vocab.save(out_dir / "vocab.txt")
 
+    # matched measurement setting: beam, no reranking
+    search_config = _search_config(vocab, opts)
+    rerank_config = RerankConfig(method="none")
     rows: list[dict] = []
     try:
         for preset_name in preset_names:
@@ -399,9 +402,6 @@ def cmd_sweep(opts) -> int:
             model.save(preset_dir / "checkpoint.bin")
             _write_jsonl(preset_dir / "train_report.jsonl", train_rows)
 
-            # matched measurement setting: beam, no reranking
-            search_config = _search_config(vocab, opts)
-            rerank_config = RerankConfig(method="none")
             decode_rows = [
                 decode_record(
                     model, vocab, r.id, r.source, "beam", search_config, rerank_config

@@ -2,8 +2,13 @@
 
 Both searches score a candidate by its summed token log-likelihood and only
 ever return sequences that terminate with the end token. They consume a
-scorer callable ``prefix_ids -> log-prob vector`` so toy language models can
-drive them in tests exactly like the trained transformer does in production.
+scorer callable so toy language models can drive them in tests exactly like
+the trained transformer does in production. Called with one prefix, a tuple
+of ids, a scorer returns its ``(V,)`` next-token log-probabilities; called
+with an ``(n, t)`` int array of ``n`` prefixes of one length, it returns
+``(n, V)``, row by row. Best-first scores one prefix per call, beam search
+its whole beam per step (a beam of one as one prefix); ``rowwise`` gives a
+one-prefix scorer the block form.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ class SearchConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.heap_capacity < self.k:
             raise ConfigError("heap_capacity must be >= k")
+        if self.pool_size < 1:
+            raise ConfigError(f"pool size must be >= 1, got {self.pool_size}")
+        if self.max_summary_len < 1:
+            raise ConfigError(f"max_summary_len must be >= 1, got {self.max_summary_len}")
 
     @property
     def pool_size(self) -> int:
@@ -85,13 +94,27 @@ def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summar
     to ``max_summary_len`` tokens plus the prompt fit in the model's
     positions; a longer prefix is rejected. The scorer runs the source
     once and keeps every scored prefix's keys and values (``PromptCache``),
-    so a call runs at most two new rows, the prefix's last token and
+    so a call runs at most two new rows per prefix, its last token and
     ``[MASK]``; ``scorer.rows`` counts the rows run.
     """
     limit = model.config.max_positions
     source_ids = fit_source(np.asarray(source_ids, dtype=np.int64), max_summary_len, limit)
     prompt = [vocab.start_id, *(int(t) for t in source_ids), vocab.end_id]
     return PromptCache(model, prompt, vocab.mask_id)
+
+
+def rowwise(score_one):
+    """A scorer that takes a block too, scoring its rows one at a time.
+
+    ``score_one`` maps one prefix tuple to its ``(V,)`` log-probabilities.
+    """
+
+    def scorer(prefixes):
+        if isinstance(prefixes, np.ndarray) and prefixes.ndim == 2:
+            return np.array([score_one(tuple(row)) for row in prefixes.tolist()])
+        return score_one(prefixes)
+
+    return scorer
 
 
 def _trigram_bans(ids: tuple[int, ...]) -> list[int]:
@@ -161,8 +184,9 @@ def best_first_search(scorer, config: SearchConfig):
 def beam_search(scorer, config: SearchConfig):
     """Breadth-first search keeping the k best same-length partials.
 
-    Each step forms k*k one-token extensions, keeps the best k, and moves
-    completed candidates out of the beam into the answer pool.
+    Each step scores the beam in one scorer call, forms k*k one-token
+    extensions, keeps the best k, and moves completed candidates out of
+    the beam into the answer pool.
     """
     diag = SearchDiagnostics()
     beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
@@ -171,9 +195,11 @@ def beam_search(scorer, config: SearchConfig):
         if not beam or len(pool) >= config.pool_size:
             break
         candidates: list[tuple[float, tuple[int, ...]]] = []
-        for ids, score in beam:
+        prefixes = [ids for ids, _ in beam]
+        rows = scorer(np.array(prefixes)) if len(beam) > 1 else [scorer(prefixes[0])]
+        for (ids, score), log_probs in zip(beam, rows):
             diag.expansions += 1
-            for tok, logp in _top_extensions(ids, scorer(ids), config):
+            for tok, logp in _top_extensions(ids, log_probs, config):
                 candidates.append((score + logp, ids + (tok,)))
         candidates.sort(key=lambda item: (-item[0], item[1]))
         beam = []

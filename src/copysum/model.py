@@ -360,33 +360,40 @@ class PrefixLM:
 
 # -- graph-free inference ------------------------------------------------------
 
-# Attention bias between a scorer call's token row and [MASK]: the token does not see it
-_PAIR_BIAS = np.array([[0.0, MASK_BIAS], [0.0, 0.0]])
+# The per-layer weights ``PromptCache._run`` uses after the fused q/k/v projection
+_RUN_WEIGHTS = ("attn_out_weight", "attn_out_bias", "attn_ln_gain", "attn_ln_bias",
+                "ff_in_weight", "ff_in_bias", "ff_out_weight", "ff_out_bias",
+                "ff_ln_gain", "ff_ln_bias")
 
 
 class PromptCache:
     """Decode scorer of one record: ``PrefixLM.forward`` without a graph, cached.
 
-    Calling it with a summary prefix returns the log-softmax of the
-    vocabulary logits at the ``[MASK]`` row of ``prompt_ids + prefix +
-    [MASK]``, where ``prompt_ids`` is ``[START] source [END]``: the same
-    numbers as ``forward`` with dropout off and ``predict_logits`` on the
-    whole prompt, to rounding.
+    Calling it with a summary prefix (a tuple, or any 1-D sequence of ids)
+    returns the ``(V,)`` log-softmax of the vocabulary logits at the
+    ``[MASK]`` row of ``prompt_ids + prefix + [MASK]``, where ``prompt_ids``
+    is ``[START] source [END]``: the same numbers as ``forward`` with
+    dropout off and ``predict_logits`` on the whole prompt, to rounding.
+    Calling it with a 2-D block of ``n`` prefixes of one length returns
+    ``(n, V)``, row ``j`` for prefix ``j``, from one pass for all of them.
 
     Source rows attend to the source only and summary rows causally, so
     the keys and values a row feeds to attention never depend on the rows
-    after it. The source rows run once, here, into ``_source``. A prefix
-    token's keys and values, for every layer, are kept in a ``(1, layers,
-    2h)`` array once a call has run that token's row, and ``_paths`` maps
-    each scored prefix to the tuple of its tokens' arrays. A call runs
-    ``[MASK]`` and, for a prefix not scored before, its last token: an
-    unscored parent (never, in the searches) is scored first. Only the
-    ``[MASK]`` row goes through the last layer's attention and
-    feed-forward and gets logits. ``rows`` counts the rows run.
+    after it. The source rows run once, here. A prefix token's keys and
+    values, for every layer, are kept in a ``(1, layers, 2h)`` array once a
+    call has run that token's row, and ``_paths`` maps each scored prefix
+    to the tuple of its tokens' arrays. ``_kv`` has one slot per prompt of
+    a call: the source's keys and values, written once per slot, then the
+    call's prefix rows and new rows. A call runs ``[MASK]`` and, for
+    prefixes not scored before, their last tokens: unscored parents (never,
+    in the searches) are scored first, as one block. A block's prefixes
+    are all new or all scored before. Only the ``[MASK]`` rows go through
+    the last layer's attention and feed-forward and get logits. ``rows``
+    counts the rows run.
     """
 
     __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_out",
-                 "_source", "_paths")
+                 "_prompt_len", "_kv", "_paths")
 
     def __init__(self, model: PrefixLM, prompt_ids, mask_id: int):
         cfg = model.config
@@ -404,89 +411,129 @@ class PromptCache:
         self._layers = []
         for layer in model.layers:
             w = {name: t.data for name, t in layer.items()}
-            # q, k and v in one (h, 3h) projection
+            # q, k and v in one (h, 3h) projection, then the weights in _run's order
             qkv_w = np.concatenate([w[f"attn_{n}_weight"] for n in "qkv"], axis=1)
             qkv_b = np.concatenate([w[f"attn_{n}_bias"] for n in "qkv"])
-            self._layers.append((qkv_w, qkv_b, w))
+            self._layers.append((qkv_w, qkv_b, *(w[name] for name in _RUN_WEIGHTS)))
         self._heads = cfg.num_heads
         self._out = model.out_emb.data
         self.rows = 0
-        # per row and layer, its keys then its values: the k and v columns
-        # of the fused projection
-        self._source = np.empty((len(ids), cfg.num_layers, 2 * cfg.hidden_size))
-        self._run(self._rows_in(ids, 0, 0), self._source, causal=False)
+        # (slot, row, layer, keys then values): the k and v columns of the
+        # fused projection
+        self._prompt_len = len(ids)
+        self._kv = np.empty((1, cfg.max_positions, cfg.num_layers, 2 * cfg.hidden_size))
+        self._run(self._rows_in(ids, len(ids), 0, 0), self._kv[:, : len(ids)], causal=False)
         self._paths: dict[tuple, tuple] = {(): ()}
 
-    def __call__(self, prefix_ids) -> np.ndarray:
-        prefix = tuple(prefix_ids)
-        total = len(self._source) + len(prefix) + 1
-        if total > self._limit:
-            raise ContractError(f"prompt of {total} tokens exceeds max_positions {self._limit}")
-        if prefix in self._paths:
-            kept, new = self._paths[prefix], ()
-        else:
-            if not 0 <= prefix[-1] < len(self._embed[0]):
-                raise ContractError("token id out of vocabulary range")
-            if prefix[:-1] not in self._paths:
-                self(prefix[:-1])
-            kept, new = self._paths[prefix[:-1]], prefix[-1:]
-        past = len(self._source) + len(kept)
-        kv = np.empty((past + len(new) + 1,) + self._source.shape[1:])
-        np.concatenate((self._source, *kept), out=kv[:past])
-        ids = np.array([*new, self._mask_id], dtype=np.int64)
-        state = self._run(self._rows_in(ids, past, 1), kv, causal=True)
-        if new:
-            self._paths[prefix] = (*kept, kv[past:-1].copy())
-        return log_softmax_values(self._out @ state)
+    def __call__(self, prefixes) -> np.ndarray:
+        if isinstance(prefixes, tuple):
+            return log_softmax_values(self._out @ self._states([prefixes])[0])
+        try:
+            block = np.asarray(prefixes, dtype=np.int64)
+        except ValueError as exc:  # ragged rows, or not ids at all
+            raise ContractError("a block's prefixes must be ids of one length") from exc
+        if block.ndim == 1:
+            return self(tuple(block.tolist()))
+        if block.ndim != 2 or not len(block):
+            raise ContractError(f"a block of prefixes is 2-D and not empty, got {block.shape}")
+        return log_softmax_values(self._states(list(map(tuple, block.tolist()))) @ self._out.T)
 
-    def _rows_in(self, ids: np.ndarray, position: int, segment: int) -> np.ndarray:
-        """Normalized embeddings of ``ids`` placed from ``position`` on."""
+    def _states(self, prefixes: list[tuple]) -> np.ndarray:
+        """Final ``[MASK]`` states after each of ``prefixes`` (one length), ``(n, h)``.
+
+        The prefixes were all scored before, and only their ``[MASK]`` rows
+        run, or none was, and their last tokens run too.
+        """
+        paths = self._paths
+        source = self._prompt_len
+        past = source + len(prefixes[0])  # rows before [MASK]
+        if past >= self._limit:
+            raise ContractError(f"prompt of {past + 1} tokens exceeds max_positions {self._limit}")
+        kept = [paths.get(prefix) for prefix in prefixes]
+        if None not in kept:  # [MASK] rows only
+            ids, rows = [self._mask_id] * len(prefixes), 1
+        elif kept.count(None) < len(prefixes):
+            raise ContractError("a block mixes prefixes scored before with new ones")
+        else:  # each prefix's last token, then [MASK]
+            kept = [paths.get(prefix[:-1]) for prefix in prefixes]
+            if None in kept:
+                self._states(list(dict.fromkeys(
+                    prefix[:-1] for prefix, path in zip(prefixes, kept) if path is None)))
+                kept = [paths[prefix[:-1]] for prefix in prefixes]
+            ids, rows = [i for prefix in prefixes for i in (prefix[-1], self._mask_id)], 2
+            if min(ids) < 0 or max(ids) >= len(self._embed[0]):
+                raise ContractError("token id out of vocabulary range")
+            past -= 1
+        if len(self._kv) < len(prefixes):
+            slots = np.empty((len(prefixes),) + self._kv.shape[1:])
+            slots[:, :source] = self._kv[0, :source]
+            self._kv = slots
+        kv = self._kv[: len(prefixes), : past + rows]
+        for j, path in enumerate(kept):
+            if path:  # the prefix's own rows, after the source's
+                np.concatenate(path, out=kv[j, source:past])
+        states = self._run(self._rows_in(ids, rows, past, 1), kv, causal=True)
+        if rows == 2:
+            for j, (prefix, path) in enumerate(zip(prefixes, kept)):
+                paths[prefix] = (*path, kv[j, past:-1].copy())
+        return states
+
+    def _rows_in(self, ids, rows: int, position: int, segment: int) -> np.ndarray:
+        """Normalized embeddings of ``ids``: prompts' ``rows`` new rows, one
+        prompt after another, each prompt's placed from ``position`` on."""
         tok, pos, seg, gain, bias = self._embed
-        x = tok[ids]
-        x += pos[position : position + len(ids)]
+        x = tok.take(ids, axis=0)
+        per_prompt = x.reshape(-1, rows, x.shape[1])
+        per_prompt += pos[position : position + rows]
         x += seg[segment]
         return ad.layer_norm_values(x, gain, bias)[0]
 
     def _run(self, x: np.ndarray, kv: np.ndarray, causal: bool):
-        """Run the rows ``x`` through the stack, writing their keys and values.
+        """Run the rows ``x`` of n prompts through the stack, writing their keys and values.
 
-        ``kv`` is ``(rows attended to, layers, 2h)``: the stored rows, then
-        one row for each row of ``x``, which this fills in. Every row of
-        ``x`` attends to the stored rows and to the new ones: to all of
-        them, or with ``causal`` (at most a token, then ``[MASK]``) to
-        those up to itself. A causal call returns the last row's final
-        state; the source (``causal`` off) needs only its keys and values,
-        and returns None.
+        ``kv`` is ``(n, rows attended to, layers, 2h)``: per prompt, its
+        stored rows, then one row for each of its new rows, which this
+        fills in. ``x`` holds the ``(n * r, h)`` new rows, prompt by prompt.
+        Every new row attends to its prompt's stored rows and new ones: to
+        all of them, or with ``causal`` (at most a token, then ``[MASK]``)
+        to those up to itself. A causal call returns each prompt's last
+        row's final state, ``(n, h)``; the source (``causal`` off, one
+        prompt) needs only its keys and values, and returns None.
         """
-        n_layers, width = kv.shape[1:]
+        n, length, n_layers, width = kv.shape
         hidden = width // 2
         heads = self._heads
         size = hidden // heads
-        past = len(kv) - len(x)
+        rows = len(x) // n
+        past = length - rows
         self.rows += len(x)
-        # (row, layer, keys or values, head, d)
-        heads_kv = kv.reshape(len(kv), n_layers, 2, heads, size)
-        for i, (qkv_w, qkv_b, w) in enumerate(self._layers):
+        scale = 1.0 / math.sqrt(size)
+        # (prompt, row, layer, keys or values, head, d)
+        heads_kv = kv.reshape(n, length, n_layers, 2, heads, size)
+        for i, (qkv_w, qkv_b, out_w, out_b, attn_gain, attn_bias, in_w, in_b, ff_w, ff_b,
+                ff_gain, ff_bias) in enumerate(self._layers):
             qkv = x @ qkv_w
             qkv += qkv_b
-            kv[past:, i] = qkv[:, hidden:]
-            if i == n_layers - 1:  # past here only the last row is read
+            kv[:, past:, i] = qkv[:, hidden:].reshape(n, rows, width)
+            if i == n_layers - 1:  # past here only each prompt's last row is read
                 if not causal:
                     return None
-                x, qkv = x[-1:], qkv[-1:]
-            q = qkv[:, :hidden].reshape(len(x), heads, size).transpose(1, 0, 2)
-            scores = q @ heads_kv[:, i, 0].transpose(1, 2, 0)
-            scores *= 1.0 / math.sqrt(size)
-            if causal and len(x) == 2:
-                scores[..., past:] += _PAIR_BIAS
+                x, qkv, rows = x[rows - 1 :: rows], qkv[rows - 1 :: rows], 1
+            q = qkv[:, :hidden].reshape(n, rows, heads, size).transpose(0, 2, 1, 3)
+            scores = q @ heads_kv[:, :, i, 0].transpose(0, 2, 3, 1)
+            scores *= scale
+            if causal and rows == 2:  # a prompt's token row does not see its [MASK]
+                scores[:, :, 0, -1] += MASK_BIAS
             probs = ad.softmax_values(scores)
-            ctx = probs @ heads_kv[:, i, 1].transpose(1, 0, 2)
-            attn = ctx.transpose(1, 0, 2).reshape(len(x), hidden) @ w["attn_out_weight"]
-            attn += w["attn_out_bias"]
-            x = ad.layer_norm_values(x + attn, w["attn_ln_gain"], w["attn_ln_bias"])[0]
-            ff = x @ w["ff_in_weight"]
-            ff += w["ff_in_bias"]
-            ff = ad.gelu_values(ff)[0] @ w["ff_out_weight"]
-            ff += w["ff_out_bias"]
-            x = ad.layer_norm_values(x + ff, w["ff_ln_gain"], w["ff_ln_bias"])[0]
-        return x[-1]
+            ctx = probs @ heads_kv[:, :, i, 1].transpose(0, 2, 1, 3)
+            attn = ctx.transpose(0, 2, 1, 3).reshape(len(x), hidden) @ out_w
+            attn += out_b
+            attn += x
+            x = ad.layer_norm_values(attn, attn_gain, attn_bias)[0]
+            ff = x @ in_w
+            ff += in_b
+            ff = ad.gelu_values(ff)[0] @ ff_w
+            ff += ff_b
+            ff += x
+            x = ad.layer_norm_values(ff, ff_gain, ff_bias)[0]
+        return x

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from copysum.autodiff import Parameter
+from copysum.decoding import rowwise
 
 
 def finite_difference_grads(params, loss_fn, h=1e-5):
@@ -71,7 +72,10 @@ class TableLM:
         self.alpha = alpha
         self._cache: dict[tuple, np.ndarray] = {}
 
-    def __call__(self, prefix: tuple) -> np.ndarray:
+    def __call__(self, prefixes) -> np.ndarray:
+        return rowwise(self.distribution)(prefixes)
+
+    def distribution(self, prefix: tuple) -> np.ndarray:
         dist = self._cache.get(prefix)
         if dist is None:
             gen = np.random.default_rng([self.seed, len(prefix), *prefix])

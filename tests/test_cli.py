@@ -139,6 +139,22 @@ class TestDecode:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--pool-size", "0"), ("--pool-size", "-1"), ("--max-len", "0"), ("--max-len", "-2"),
+    ])
+    def test_search_size_below_one_is_a_config_error(self, tmp_path, capsys, flag, value):
+        """A search that can keep or grow no summary is refused, not run."""
+        out = tmp_path / "decoded.jsonl"
+        rc = main([
+            "decode", "--checkpoint", str(FIXTURES / "checkpoint.bin"),
+            "--vocab", str(FIXTURES / "vocab.txt"), "--input", str(FIXTURES / "test.jsonl"),
+            "--output", str(out), flag, value,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert not out.exists()
+
     def test_summaries_text_output(self, corpus_dir, trained, tmp_path):
         _, vocab_path, ckpt = trained
         out = tmp_path / "d.jsonl"
@@ -205,6 +221,16 @@ class TestSweep:
     def test_needs_corpus_or_synth(self, tmp_path):
         rc = main(["sweep", "--output-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_search_size_below_one_fails_before_training(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--output-dir", str(out), "--corpus-dir", str(corpus_dir),
+            "--presets", "case-a", "--vocab-size", "160", "--max-len", "0",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (out / "case-a").exists()
 
     def test_single_preset_equals_composition(self, corpus_dir, tmp_path):
         """sweep == build-vocab + train + decode chained by hand."""

@@ -17,6 +17,7 @@ from copysum.decoding import (
     make_model_scorer,
     predict_length,
     rerank,
+    rowwise,
 )
 from copysum.errors import ConfigError, ContractError
 from copysum.metrics import copy_rate
@@ -39,7 +40,17 @@ def scripted_scorer(script, vocab_size, end_id=END, margin=8.0):
         shifted = logits - logits.max()
         return shifted - math.log(np.exp(shifted).sum())
 
-    return scorer
+    return rowwise(scorer)
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("k", 0), ("answer_pool_size", 0), ("answer_pool_size", -1),
+        ("max_summary_len", 0), ("max_summary_len", -2),
+    ])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            SearchConfig(end_id=END, **{field: value})
 
 
 class TestBestFirst:

@@ -1,10 +1,13 @@
 """Property tests: cut or bit-flipped files fail by contract, BPE round-trips
-text, gradients of random graphs match finite differences, and both searches
-keep their pool invariants."""
+text, gradients of random graphs match finite differences, both searches
+keep their pool invariants, and padded batches keep the prefix mask rule."""
 
 import contextlib
 import math
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from copysum.autodiff import Parameter
 from copysum.bpe import Vocabulary, train_bpe
 from copysum.decoding import SearchConfig, beam_search, best_first_search
 from copysum.errors import ContractError
-from copysum.model import ModelConfig, PrefixLM
+from copysum.model import JointBatch, JointSequence, ModelConfig, PrefixLM
 from copysum.text import WORD_END, normalize_text
 
 from conftest import TableLM, assert_grads_close
@@ -23,7 +26,8 @@ from conftest import TableLM, assert_grads_close
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-FIXTURE_VOCAB = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "vocab.txt"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE_VOCAB = ROOT / "perfbench" / "fixtures" / "vocab.txt"
 LETTERS = "abdefgiklmnoprstuvz"
 
 
@@ -154,3 +158,44 @@ def test_search_pool_invariants(seed, vocab_size, k, max_len, blocking, pool_siz
         if search is best_first_search and diag.evictions == 0:
             scores = [hyp.score for hyp in pool]
             assert scores == sorted(scores, reverse=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_padded_batch_mask_is_the_prefix_rule(data):
+    """Row i of example b sees column j iff j <= max(i, source_len - 1);
+    pad rows and pad columns see and are seen by nothing."""
+    lengths = data.draw(st.lists(st.integers(1, 11), min_size=1, max_size=5))
+    seqs = [
+        JointSequence.build(np.zeros(length, dtype=np.int64),
+                            data.draw(st.integers(1, length)))
+        for length in lengths
+    ]
+    batch = JointBatch.pad(seqs)
+    width = max(lengths)
+    expected = np.zeros((len(seqs), width, width))
+    for b, seq in enumerate(seqs):
+        for i in range(len(seq)):
+            for j in range(len(seq)):
+                expected[b, i, j] = float(j <= max(i, seq.source_len - 1))
+    np.testing.assert_array_equal(batch.attention_mask(), expected)
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    """Under the repository's pytest settings, warnings are errors; a failing
+    ``@given`` test still ends in a failure with its falsifying example,
+    not an internal error."""
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_small(n):
+            assert n < 10
+    """))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 1, result.stdout[-2000:] + result.stderr[-2000:]
+    assert "Falsifying example" in result.stdout

@@ -17,7 +17,13 @@ from copysum import decoding
 from copysum.autodiff import log_softmax_values
 from copysum.bpe import Vocabulary, train_bpe
 from copysum.data import ingest
-from copysum.decoding import RerankConfig, SearchConfig, decode_record, make_model_scorer
+from copysum.decoding import (
+    RerankConfig,
+    SearchConfig,
+    decode_record,
+    make_model_scorer,
+    rowwise,
+)
 from copysum.errors import ContractError
 from copysum.training import TrainConfig, TrainingExample, sampling_preset, train
 from copysum.model import (
@@ -36,6 +42,10 @@ TINY_BEAM_ROWS = 72  # 261
 TINY_BEST_FIRST_ROWS = 79  # 346
 FIXTURE20_BEAM_ROWS = 1283  # 9405
 FIXTURE20_BEST_FIRST_ROWS = 5321  # 48543
+# Scorer calls under beam, pinned beside the rows: one call per step scores
+# the whole beam; one call per hypothesis makes the figure in the comment.
+TINY_BEAM_CALLS = 11  # 27
+FIXTURE20_BEAM_CALLS = 124  # 502
 
 
 def full_recompute_scorer(model, vocab, source_ids, max_summary_len=0):
@@ -53,7 +63,7 @@ def full_recompute_scorer(model, vocab, source_ids, max_summary_len=0):
         states = model.forward(seq, build_attention_mask(source_len, len(seq)))
         return log_softmax_values(model.predict_logits(states).data[-1])
 
-    return scorer
+    return rowwise(scorer)
 
 
 def random_model(rng, trial, max_positions=40):
@@ -85,6 +95,16 @@ def prefix_tree(rng, vocab_size, count, max_len):
             if child not in prefixes:
                 prefixes.append(child)
     return prefixes
+
+
+def children(rng, parents, count, vocab_size):
+    """``count`` distinct one-token extensions of randomly drawn ``parents``."""
+    out = []
+    while len(out) < count:
+        child = parents[int(rng.integers(len(parents)))] + (int(rng.integers(vocab_size)),)
+        if child not in out:
+            out.append(child)
+    return out
 
 
 class TestLogProbParity:
@@ -151,6 +171,58 @@ class TestLogProbParity:
         )
 
 
+class TestBlocks:
+    """An (n, t) block of prefixes against the same prefixes scored one at a time."""
+
+    def test_rows_match_one_prefix_at_a_time(self):
+        rng = np.random.default_rng(26)
+        for trial in range(40):
+            lm = random_model(rng, 200 + trial)
+            vocab_size = lm.config.vocab_size
+            source = rng.integers(0, vocab_size, int(rng.integers(1, 12)))
+            scorer = make_model_scorer(lm, STUB_VOCAB, source)
+            alone = make_model_scorer(lm, STUB_VOCAB, source)
+            oracle = full_recompute_scorer(lm, STUB_VOCAB, source)
+            k = int(rng.integers(2, 6))
+            first = children(rng, [()], k, vocab_size)
+            second = children(rng, first, k, vocab_size)
+            # two tokens past ``second``: their parents were never scored
+            deep = children(rng, children(rng, second, k, vocab_size), k, vocab_size)
+            blocks = [
+                [()],  # the empty prefix, n = 1
+                first,  # n = k, as beam's second step
+                second,
+                second[:1],  # n = 1, scored before
+                deep,  # unscored parents, scored first as one block
+                deep,  # scored before: [MASK] rows only
+            ]
+            for block in blocks:
+                got = scorer(np.array(block, dtype=np.int64))
+                assert got.shape == (len(block), vocab_size)
+                for row, prefix in zip(got, block):
+                    np.testing.assert_allclose(row, alone(prefix), rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(row, oracle(prefix), rtol=0, atol=1e-12)
+
+    def test_bad_blocks_rejected(self):
+        lm = random_model(np.random.default_rng(27), 5)
+        scorer = make_model_scorer(lm, STUB_VOCAB, [4, 5, 6])
+        scorer((7,))
+        bad_blocks = [
+            [(7,), (7, 8)],  # unequal lengths
+            np.array([[7], [8]]),  # (7,) scored before, (8,) new
+            np.array([[8], [7]]),
+            np.zeros((0, 1), dtype=np.int64),  # no prefix
+            np.zeros((2, 1, 1), dtype=np.int64),  # neither one prefix nor a block
+        ]
+        for bad in bad_blocks:
+            with pytest.raises(ContractError):
+                scorer(bad)
+        rows = scorer.rows
+        np.testing.assert_allclose(scorer(np.array([[8], [9]]))[0], scorer((8,)), rtol=0,
+                                   atol=1e-12)
+        assert scorer.rows == rows + 4 + 1
+
+
 # -- whole decodes --------------------------------------------------------
 
 
@@ -170,13 +242,20 @@ SEARCHES = [("beam", "none"), ("best-first", "sbwr")]
 
 
 def decode_rows(setup, records, search, rerank, make_scorer):
-    """Decoded rows and the scorers that made them, with ``make_scorer`` in use."""
+    """Decoded rows, the scorers that made them and the number of calls to
+    them, with ``make_scorer`` in use."""
     model, vocab, _, config = setup
-    scorers = []
+    scorers, calls = [], []
 
     def recording(*args, **kwargs):
-        scorers.append(make_scorer(*args, **kwargs))
-        return scorers[-1]
+        scorer = make_scorer(*args, **kwargs)
+        scorers.append(scorer)
+
+        def counted(prefixes):
+            calls.append(prefixes)
+            return scorer(prefixes)
+
+        return counted
 
     saved = decoding.make_model_scorer
     decoding.make_model_scorer = recording
@@ -188,13 +267,13 @@ def decode_rows(setup, records, search, rerank, make_scorer):
         ]
     finally:
         decoding.make_model_scorer = saved
-    return rows, scorers
+    return rows, scorers, len(calls)
 
 
 def assert_rows_match_oracle(setup, records):
     for search, rerank in SEARCHES:
-        cached, _ = decode_rows(setup, records, search, rerank, make_model_scorer)
-        oracle, _ = decode_rows(setup, records, search, rerank, full_recompute_scorer)
+        cached, _, _ = decode_rows(setup, records, search, rerank, make_model_scorer)
+        oracle, _, _ = decode_rows(setup, records, search, rerank, full_recompute_scorer)
         assert json.dumps(cached) == json.dumps(oracle), search
 
 
@@ -225,19 +304,23 @@ def tiny_decode():
 
 
 def test_row_count_pins(tiny_decode, fixture_decode):
-    """Transformer rows per decode: an exact count that repeats, pinned.
+    """Transformer rows and scorer calls per decode: exact counts that repeat, pinned.
 
-    The cache runs the source once, then per call the scored prefix's last
-    token and [MASK]. A change that lowers a count lowers its pin.
+    The cache runs the source once, then per scored prefix its last token
+    and [MASK]; beam scores its whole beam in one call. A change that
+    lowers a count lowers its pin.
     """
     pins = [
-        (tiny_decode, "beam", TINY_BEAM_ROWS),
-        (tiny_decode, "best-first", TINY_BEST_FIRST_ROWS),
-        (fixture_decode, "beam", FIXTURE20_BEAM_ROWS),
-        (fixture_decode, "best-first", FIXTURE20_BEST_FIRST_ROWS),
+        (tiny_decode, "beam", TINY_BEAM_ROWS, TINY_BEAM_CALLS),
+        (tiny_decode, "best-first", TINY_BEST_FIRST_ROWS, None),
+        (fixture_decode, "beam", FIXTURE20_BEAM_ROWS, FIXTURE20_BEAM_CALLS),
+        (fixture_decode, "best-first", FIXTURE20_BEST_FIRST_ROWS, None),
     ]
-    for setup, search, pin in pins:
+    for setup, search, row_pin, call_pin in pins:
         rerank = dict(SEARCHES)[search]
-        _, scorers = decode_rows(setup, setup[2][:20], search, rerank, make_model_scorer)
+        _, scorers, calls = decode_rows(setup, setup[2][:20], search, rerank,
+                                        make_model_scorer)
         rows = sum(scorer.rows for scorer in scorers)
-        assert rows <= pin, (search, rows, pin)
+        assert rows <= row_pin, (search, rows, row_pin)
+        if call_pin is not None:
+            assert calls <= call_pin, (search, calls, call_pin)
