@@ -220,26 +220,30 @@ def cmd_build_vocab(opts) -> int:
     return 0
 
 
-def _train_one(
-    vocab: Vocabulary,
-    train_records: list[CorpusRecord],
-    valid_records: list[CorpusRecord],
-    sampling: SamplingConfig,
-    opts,
-) -> tuple[PrefixLM, list[dict]]:
-    model_config = ModelConfig.preset(
+def _model_config(vocab: Vocabulary, opts) -> ModelConfig:
+    return ModelConfig.preset(
         opts.model_preset,
         vocab_size=len(vocab),
         max_positions=opts.max_positions,
         dropout=opts.dropout,
     )
-    model = PrefixLM(model_config, seed=seed_key(opts.seed, "init"))
+
+
+def _train_one(
+    vocab: Vocabulary,
+    train_records: list[CorpusRecord],
+    valid_records: list[CorpusRecord],
+    sampling: SamplingConfig,
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+) -> tuple[PrefixLM, list[dict]]:
+    model = PrefixLM(model_config, seed=seed_key(train_config.seed, "init"))
     report = train(
         model,
         _examples(vocab, train_records),
         _examples(vocab, valid_records),
         sampling,
-        TrainConfig(**_fields(TrainConfig, opts)),
+        train_config,
         vocab,
     )
     rows = list(report.records)
@@ -256,11 +260,13 @@ def _train_one(
 
 
 def cmd_train(opts) -> int:
+    train_config = TrainConfig(**_fields(TrainConfig, opts))
     vocab = Vocabulary.load(opts.vocab)
     train_records, _ = ingest(opts.train, "pairs")
     valid_records = ingest(opts.valid, "pairs")[0] if opts.valid else []
     sampling = _resolve_sampling(opts)
-    model, rows = _train_one(vocab, train_records, valid_records, sampling, opts)
+    model, rows = _train_one(vocab, train_records, valid_records, sampling,
+                             _model_config(vocab, opts), train_config)
     model.save(opts.checkpoint)
     if opts.report:
         _write_jsonl(opts.report, rows)
@@ -358,6 +364,8 @@ def cmd_sweep(opts) -> int:
     preset_names = [p for p in opts.presets.split(",") if p]
     if not preset_names:
         raise ConfigError("sweep needs at least one preset")
+    samplings = [sampling_preset(name) for name in preset_names]
+    train_config = TrainConfig(**_fields(TrainConfig, opts))
     out_dir = Path(opts.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -387,17 +395,17 @@ def cmd_sweep(opts) -> int:
     vocab = train_bpe(list(_corpus_lines(splits["train"])), opts.vocab_size)
     vocab.save(out_dir / "vocab.txt")
 
+    model_config = _model_config(vocab, opts)
     # matched measurement setting: beam, no reranking
     search_config = _search_config(vocab, opts)
     rerank_config = RerankConfig(method="none")
     rows: list[dict] = []
     try:
-        for preset_name in preset_names:
-            sampling = sampling_preset(preset_name)
+        for preset_name, sampling in zip(preset_names, samplings):
             preset_dir = out_dir / preset_name
             preset_dir.mkdir(exist_ok=True)
             model, train_rows = _train_one(
-                vocab, splits["train"], splits["valid"], sampling, opts
+                vocab, splits["train"], splits["valid"], sampling, model_config, train_config
             )
             model.save(preset_dir / "checkpoint.bin")
             _write_jsonl(preset_dir / "train_report.jsonl", train_rows)

@@ -57,6 +57,8 @@ class ModelConfig:
                 f"hidden_size {self.hidden_size} not divisible by "
                 f"num_heads {self.num_heads}"
             )
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout={self.dropout} outside [0, 1)")
 
     @classmethod
     def preset(cls, name: str, vocab_size: int, max_positions: int = 256, **overrides):
@@ -280,8 +282,9 @@ class PrefixLM:
             (probs, attn.reshape(rows), ff.reshape(rows)) for probs, attn, ff in layers
         ]
 
-    def _attention(self, x: Tensor, mask_bias: np.ndarray, layer: dict, keep) -> Tensor:
-        """Self-attention over (B*T, h) rows; heads work on (B, H, T, d)."""
+    def _attention(self, x: Tensor, mask_bias: Tensor, layer: dict, keep) -> Tensor:
+        """Self-attention context of (B*T, h) rows, heads merged, before the
+        output projection; heads work on (B, H, T, d)."""
         cfg = self.config
         n_heads = cfg.num_heads
         head = cfg.hidden_size // n_heads
@@ -296,16 +299,22 @@ class PrefixLM:
         q, k, v = (split_heads(project(x, name)) for name in ("q", "k", "v"))
         scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(head))
         probs = ad.dropout(ad.softmax(scores + mask_bias), keep, cfg.dropout)
-        ctx = ad.reshape(ad.transpose(probs @ v, (0, 2, 1, 3)), (size * width, cfg.hidden_size))
-        return project(ctx, "out")
+        return ad.reshape(ad.transpose(probs @ v, (0, 2, 1, 3)), (size * width, cfg.hidden_size))
 
-    def forward(self, seq: "JointSequence | JointBatch", mask: np.ndarray, rng=None) -> Tensor:
-        """Contextual states for every position of ``seq`` under ``mask``.
+    def forward(self, seq: "JointSequence | JointBatch", mask: np.ndarray, rng=None,
+                rows=None) -> Tensor:
+        """Contextual states for the positions of ``seq`` under ``mask``.
 
         ``seq`` is one sequence with a (T, T) mask or a padded batch with a
         (B, T, T) mask; either way the states come back as (B*T, h) rows,
         example ``b``'s position ``i`` at row ``b * T + i``. ``rng`` enables
-        dropout (training); inference passes None.
+        dropout (training); inference passes None. ``rows``, flat indices
+        ``b * T + i``, keeps only those rows, in that order, ``(len(rows), h)``:
+        the last layer's keys, values and attention still cover every row,
+        but only ``rows`` go on through its output projection, residual sum,
+        layer norms and feed-forward block, as ``PromptCache`` runs only its
+        ``[MASK]`` rows. Dropout masks are drawn at full size either way, so
+        ``rng`` advances the same.
         """
         batch = JointBatch.of(seq)
         size, width = batch.ids.shape
@@ -314,14 +323,20 @@ class PrefixLM:
             raise ContractError(f"mask shape {mask.shape} does not match {expected}")
         rate = self.config.dropout
         # 0 where allowed, -1e9 where not; one row of keys per example,
-        # broadcast over the heads
-        mask_bias = ((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width)
+        # broadcast over the heads; one constant shared by every layer
+        mask_bias = Tensor(((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width))
         keep_emb, keep_layers = self._dropout_keeps(batch, rng)
         x = ad.layer_norm(self.embed(batch), *self.emb_ln)
         x = ad.dropout(x, keep_emb, rate)
+        last = self.layers[-1]
         for w, (keep_probs, keep_attn, keep_ff) in zip(self.layers, keep_layers):
-            attn = ad.dropout(self._attention(x, mask_bias, w, keep_probs), keep_attn, rate)
-            x = ad.layer_norm(x + attn, w["attn_ln_gain"], w["attn_ln_bias"])
+            ctx = self._attention(x, mask_bias, w, keep_probs)
+            if rows is not None and w is last:
+                x, ctx = ad.take_rows(x, rows), ad.take_rows(ctx, rows)
+                keep_attn, keep_ff = (None if k is None else k[rows] for k in (keep_attn, keep_ff))
+            attn = ad.matmul(ctx, w["attn_out_weight"], w["attn_out_bias"])
+            x = ad.layer_norm(x + ad.dropout(attn, keep_attn, rate),
+                              w["attn_ln_gain"], w["attn_ln_bias"])
             ff = ad.gelu(ad.matmul(x, w["ff_in_weight"], w["ff_in_bias"]))
             ff = ad.matmul(ff, w["ff_out_weight"], w["ff_out_bias"])
             x = ad.layer_norm(x + ad.dropout(ff, keep_ff, rate), w["ff_ln_gain"], w["ff_ln_bias"])

@@ -53,16 +53,27 @@ class AdamW:
                     f"optimizer state shape {state.m.shape} does not match "
                     f"parameter {p.name!r} shape {p.data.shape}"
                 )
-            g = p.grad
+            g, m, v = p.grad, state.m, state.v
             state.step_count += 1
             t = state.step_count
-            state.m = BETA1 * state.m + (1.0 - BETA1) * g
-            state.v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
-            m_hat = state.m / (1.0 - BETA1**t)
-            v_hat = state.v / (1.0 - BETA2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            # in place, in the order of the textbook form, so the same bits:
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps), then p -= lr wd p
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            g2 = g * g
+            g2 *= 1.0 - BETA2
+            v += g2
+            update = m / (1.0 - BETA1**t)
+            update *= self.lr
+            denom = np.divide(v, 1.0 - BETA2**t, out=g2)
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            update /= denom
+            p.data -= update
             if self.weight_decay and not p.decay_exempt:
-                p.data -= self.lr * self.weight_decay * p.data
+                p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=update)
 
 
 @dataclass

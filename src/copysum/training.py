@@ -203,15 +203,16 @@ def compute_loss(
     """Negative log-likelihood of the original tokens at selected positions.
 
     ``seq`` is one sequence or a padded batch from ``collate``. States come
-    from the corrupted ids under the standard prefix mask; returns None when
-    nothing was selected (the caller counts skips).
+    from the corrupted ids under the standard prefix mask, and the model's
+    last layer runs only the selected rows; returns None when nothing was
+    selected (the caller counts skips).
     """
     if len(record.positions) == 0:
         return None
     corrupted = replace(seq, ids=corrupted_ids)
-    states = model.forward(corrupted, corrupted.attention_mask(), rng=rng)
-    picked = ad.take_rows(states, record.positions)
-    logits = model.predict_logits(picked)
+    states = model.forward(corrupted, corrupted.attention_mask(), rng=rng,
+                           rows=record.positions)
+    logits = model.predict_logits(states)
     return ad.cross_entropy_from_logits(logits, record.original_ids, reduction)
 
 
@@ -224,6 +225,14 @@ class TrainConfig:
     plateau_patience: int = 2
     plateau_min_delta: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "plateau_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be at least 1")
+        for name in ("lr", "weight_decay", "plateau_min_delta"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 0")
 
 
 @dataclass

@@ -6,9 +6,12 @@ summed loss and gradients, the same states for every real row, the same
 dropout draws, and a graph whose size does not grow with ``B``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from copysum import autodiff as ad
 from copysum.bpe import train_bpe
 from copysum.model import ModelConfig, PrefixLM, build_attention_mask
 from copysum.optim import AdamW
@@ -30,6 +33,10 @@ LEXICON = ["bad", "keg", "lim", "fad", "gem", "kid", "mab", "del", "bag", "dim"]
 # the `desk` model with dropout; one example's graph had 120 before
 # batching, and sixteen examples' had 1380.
 DESK_BATCH_GRAPH_NODES = 108
+# Rows each layer's feed-forward GELU gets for that batch of 16 (B*T = 368,
+# 90 selected positions); every layer ran all 368 before the last layer ran
+# the selected rows only.
+DESK_BATCH_GELU_ROWS = [368, 90]
 
 
 def _examples(n, seed):
@@ -169,6 +176,73 @@ def test_batched_training_follows_the_one_example_at_a_time_trajectory(corpus):
 
     for name, p in batched.params.items():
         assert np.max(np.abs(p.data - looped.params[name].data)) <= 1e-10, name
+
+
+def _oracle_loss(model, batch, corrupted, record, rng):
+    """The loss as full states, then a gather of the selected rows."""
+    states = model.forward(replace(batch, ids=corrupted), batch.attention_mask(), rng=rng)
+    logits = model.predict_logits(ad.take_rows(states, record.positions))
+    return ad.cross_entropy_from_logits(logits, record.original_ids)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loss_and_grads_equal_the_full_states_oracle(seed):
+    """``compute_loss`` against every row's states gathered afterwards."""
+    pick = np.random.default_rng(seed)
+    vocab, examples = _examples(int(pick.integers(6, 15)), seed=20 + seed)
+    items = _corrupted(vocab, examples, seed=30 + seed)
+    items = [items[i] for i in pick.permutation(len(items))[: int(pick.integers(1, 9))]]
+    batch, corrupted, record = collate(items)
+    model = _model(vocab, preset="desk" if seed % 2 else None, seed=seed)
+
+    results = []
+    for loss_of in (lambda rng: compute_loss(model, batch, corrupted, record, rng=rng),
+                    lambda rng: _oracle_loss(model, batch, corrupted, record, rng)):
+        rng = np.random.default_rng(100 + seed)
+        model.zero_grad()
+        loss = loss_of(rng)
+        loss.backward()
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
+        results.append((loss.item(), grads, rng.bit_generator.state))
+
+    (loss, grads, state), (oracle_loss, oracle_grads, oracle_state) = results
+    assert abs(loss - oracle_loss) <= 1e-12
+    for name, grad in grads.items():
+        assert np.max(np.abs(grad - oracle_grads[name])) <= 1e-12, name
+    assert state == oracle_state
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_forward_rows_are_the_full_forwards_rows(corpus, dropout):
+    vocab, examples = corpus
+    batch, _, record = collate(_corrupted(vocab, examples, seed=10))
+    model = _model(vocab, dropout=dropout)
+    rows = np.random.default_rng(3).permutation(batch.ids.size)[:7]
+    for picked in (rows, np.repeat(rows[:2], 2), record.positions):
+        full_rng, rows_rng = np.random.default_rng(11), np.random.default_rng(11)
+        full = model.forward(batch, batch.attention_mask(), rng=full_rng).data
+        states = model.forward(batch, batch.attention_mask(), rng=rows_rng, rows=picked).data
+        assert states.shape == (len(picked), model.config.hidden_size)
+        # to rounding: BLAS may group a block's rows differently by its row count
+        assert np.max(np.abs(states - full[picked])) <= 1e-12
+        assert rows_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+def test_last_layer_runs_only_the_selected_rows(monkeypatch):
+    """Work count: the rows each layer's GELU gets for one desk batch."""
+    vocab, examples = _examples(40, seed=5)
+    batch, corrupted, record = collate(_corrupted(vocab, examples, seed=2)[:16])
+    model = _model(vocab, preset="desk")
+    gelu_rows = []
+    gelu = ad.gelu
+
+    def counted(a):
+        gelu_rows.append(a.shape[0])
+        return gelu(a)
+
+    monkeypatch.setattr(ad, "gelu", counted)
+    compute_loss(model, batch, corrupted, record, rng=np.random.default_rng(0))
+    assert gelu_rows == [batch.ids.size, len(record.positions)] == DESK_BATCH_GELU_ROWS
 
 
 def test_desk_batch_graph_size_does_not_grow_with_batch():

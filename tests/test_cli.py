@@ -104,6 +104,26 @@ class TestTrain:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--epochs", "0"), ("--epochs", "-1"),
+        ("--plateau-patience", "0"), ("--lr", "-0.001"), ("--weight-decay", "-0.01"),
+        ("--plateau-min-delta", "-1"), ("--dropout", "-0.1"), ("--dropout", "1"),
+    ])
+    def test_bad_training_option_is_a_config_error(self, corpus_dir, trained, tmp_path,
+                                                    capsys, flag, value):
+        """Refused in one line before training, with no checkpoint written."""
+        _, vocab_path, _ = trained
+        ckpt = tmp_path / "m.bin"
+        rc = main([
+            "train", "--train", str(corpus_dir / "train.jsonl"),
+            "--vocab", str(vocab_path), "--checkpoint", str(ckpt),
+            "--model-preset", "tiny", "--epochs", "1", flag, value,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert not ckpt.exists()
+
 
 class TestDecode:
     @pytest.mark.parametrize(
@@ -230,6 +250,22 @@ class TestSweep:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (out / "case-a").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--batch-size", "0"), ("--dropout", "-0.1"),
+        ("--presets", "case-a,case-z"),
+    ])
+    def test_bad_training_option_fails_before_training(self, corpus_dir, tmp_path, capsys,
+                                                        flag, value):
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--output-dir", str(out), "--corpus-dir", str(corpus_dir),
+            "--presets", "case-a", "--vocab-size", "160", "--model-preset", "tiny", flag, value,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
         assert not (out / "case-a").exists()
 
     def test_single_preset_equals_composition(self, corpus_dir, tmp_path):

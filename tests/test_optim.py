@@ -3,7 +3,7 @@ import pytest
 
 from copysum.autodiff import Parameter
 from copysum.errors import ContractError
-from copysum.optim import EPS, AdamW, PlateauHalver
+from copysum.optim import BETA1, BETA2, EPS, AdamW, PlateauHalver
 
 
 def test_zero_gradient_exempt_parameter_unchanged():
@@ -69,6 +69,33 @@ def test_zero_lr_keeps_parameters_fixed():
     opt = AdamW([p], lr=0.0, weight_decay=0.01)
     opt.step()
     np.testing.assert_allclose(p.data, [1.0, -1.0], atol=0)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.02])
+def test_steps_equal_the_textbook_formula_bit_for_bit(weight_decay):
+    rng = np.random.default_rng(12)
+    params = [Parameter(rng.normal(size=(3, 4)), name="w"),
+              Parameter(rng.normal(size=5), name="bias", decay_exempt=True)]
+    lr = 3e-3
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    expected = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    for t in range(1, 6):
+        for p in params:
+            p.grad[...] = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-6, 2)
+        opt.step()
+        for i, (p, state) in enumerate(zip(params, opt.states)):
+            value, m, v = expected[i]
+            g = p.grad
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            value = value - lr * m_hat / (np.sqrt(v_hat) + EPS)
+            if weight_decay and not p.decay_exempt:
+                value = value - lr * weight_decay * value
+            expected[i] = (value, m, v)
+            assert np.array_equal(p.data, value), (t, p.name)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), (t, p.name)
 
 
 class TestPlateauHalver:

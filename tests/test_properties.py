@@ -129,6 +129,28 @@ def test_random_graph_gradients_match_finite_differences(seed, steps):
     assert_grads_close(params, loss_fn)
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    n_rows=st.integers(1, 6),
+    rest=st.lists(st.integers(1, 3), max_size=3),
+    picks=st.lists(st.integers(0, 5), max_size=14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_gradients_are_add_at_scatters(n_rows, rest, picks, seed):
+    """``embedding`` and ``take_rows`` send each row's gradient back to the
+    row it came from, as ``np.add.at`` does: duplicate, unsorted or no
+    indices, over rows of 1-D to 4-D arrays."""
+    idx = np.array([i % n_rows for i in picks], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    upstream = rng.normal(size=(len(idx), *rest))
+    expected = np.zeros((n_rows, *rest))
+    np.add.at(expected, idx, upstream)
+    for gather in (ad.embedding, ad.take_rows):
+        p = Parameter(rng.normal(size=(n_rows, *rest)))
+        ad.tensor_sum(gather(p, idx) * upstream).backward()
+        assert np.max(np.abs(p.grad - expected), initial=0.0) <= 1e-15, gather.__name__
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     seed=st.integers(0, 10**6),

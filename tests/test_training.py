@@ -210,10 +210,10 @@ class _FixedLogitsModel:
             vocab_size=vocab_size, max_positions=64, feed_forward_size=4,
         )
 
-    def forward(self, seq, mask, rng=None):
+    def forward(self, seq, mask, rng=None, rows=None):
         from copysum import autodiff as ad
 
-        return ad.Tensor(np.zeros((len(seq.ids), 4)))
+        return ad.Tensor(np.zeros((len(rows), 4)))
 
     def predict_logits(self, states):
         from copysum import autodiff as ad
@@ -432,3 +432,27 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
             sampling_preset("case-z")
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("plateau_patience", 0),
+        ("lr", -1e-3), ("weight_decay", -0.01), ("lr", float("nan")),
+        ("plateau_min_delta", -1.0),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_rate_and_decay_allowed(self):
+        config = TrainConfig(epochs=1, batch_size=1, lr=0.0, weight_decay=0.0,
+                             plateau_patience=1)
+        assert (config.lr, config.weight_decay) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.0, 1.5, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, dropout):
+        with pytest.raises(ConfigError, match="dropout"):
+            ModelConfig.preset("tiny", vocab_size=10, dropout=dropout)
+
+    def test_dropout_zero_allowed(self):
+        assert ModelConfig.preset("tiny", vocab_size=10, dropout=0.0).dropout == 0.0
