@@ -173,6 +173,10 @@ class Vocabulary:
         missing = {START_TOKEN, END_TOKEN, MASK_TOKEN} - set(tokens)
         if missing:
             raise ContractError(f"{path}: special tokens missing: {sorted(missing)}")
+        if unk_policy not in ("replace", "error"):
+            raise ContractError(f"{path}: unknown unk_policy {unk_policy!r}")
+        if unk_policy == "replace" and UNK_TOKEN not in tokens:
+            raise ContractError(f"{path}: unk_policy replace needs an {UNK_TOKEN} token")
         return cls(id_to_token=tokens, merges=merges, unk_policy=unk_policy)
 
 

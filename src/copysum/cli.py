@@ -220,10 +220,12 @@ def cmd_build_vocab(opts) -> int:
     return 0
 
 
-def _model_config(vocab: Vocabulary, opts) -> ModelConfig:
+def _model_config(opts) -> ModelConfig:
+    """The model settings of ``opts``, checked before any file is read or
+    written; the caller sets ``vocab_size`` once it has the vocabulary."""
     return ModelConfig.preset(
         opts.model_preset,
-        vocab_size=len(vocab),
+        vocab_size=1,
         max_positions=opts.max_positions,
         dropout=opts.dropout,
     )
@@ -261,12 +263,13 @@ def _train_one(
 
 def cmd_train(opts) -> int:
     train_config = TrainConfig(**_fields(TrainConfig, opts))
+    model_config = _model_config(opts)
     vocab = Vocabulary.load(opts.vocab)
     train_records, _ = ingest(opts.train, "pairs")
     valid_records = ingest(opts.valid, "pairs")[0] if opts.valid else []
     sampling = _resolve_sampling(opts)
     model, rows = _train_one(vocab, train_records, valid_records, sampling,
-                             _model_config(vocab, opts), train_config)
+                             replace(model_config, vocab_size=len(vocab)), train_config)
     model.save(opts.checkpoint)
     if opts.report:
         _write_jsonl(opts.report, rows)
@@ -366,6 +369,7 @@ def cmd_sweep(opts) -> int:
         raise ConfigError("sweep needs at least one preset")
     samplings = [sampling_preset(name) for name in preset_names]
     train_config = TrainConfig(**_fields(TrainConfig, opts))
+    model_config = _model_config(opts)
     out_dir = Path(opts.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -395,7 +399,7 @@ def cmd_sweep(opts) -> int:
     vocab = train_bpe(list(_corpus_lines(splits["train"])), opts.vocab_size)
     vocab.save(out_dir / "vocab.txt")
 
-    model_config = _model_config(vocab, opts)
+    model_config = replace(model_config, vocab_size=len(vocab))
     # matched measurement setting: beam, no reranking
     search_config = _search_config(vocab, opts)
     rerank_config = RerankConfig(method="none")

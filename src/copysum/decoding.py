@@ -8,7 +8,9 @@ of ids, a scorer returns its ``(V,)`` next-token log-probabilities; called
 with an ``(n, t)`` int array of ``n`` prefixes of one length, it returns
 ``(n, V)``, row by row. Best-first scores one prefix per call, beam search
 its whole beam per step (a beam of one as one prefix); ``rowwise`` gives a
-one-prefix scorer the block form.
+one-prefix scorer the block form. The model's scorer scores each prefix
+once: a prefix asked for again, as the greedy rerun of ``predict_length``
+asks for the main search's prefixes, gets the same read-only row back.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summar
     The source is tail-truncated as in training, so that summaries of up
     to ``max_summary_len`` tokens plus the prompt fit in the model's
     positions; a longer prefix is rejected. The scorer runs the source
-    once and keeps every scored prefix's keys and values (``PromptCache``),
-    so a call runs at most two new rows per prefix, its last token and
-    ``[MASK]``; ``scorer.rows`` counts the rows run.
+    once and keeps every scored prefix's keys, values and log-probabilities
+    (``PromptCache``), so a call runs two new rows per new prefix, its last
+    token and ``[MASK]``, and none for a prefix scored before;
+    ``scorer.rows`` counts the rows run.
     """
     limit = model.config.max_positions
     source_ids = fit_source(np.asarray(source_ids, dtype=np.int64), max_summary_len, limit)
@@ -132,14 +135,14 @@ def block_trigrams(hypothesis_ids: tuple[int, ...], candidate: int) -> bool:
 
 def _top_extensions(ids: tuple[int, ...], log_probs: np.ndarray, config: SearchConfig):
     """The k best (token, logp) continuations after bans and blocking."""
-    scores = log_probs.astype(np.float64, copy=True)
+    scores = log_probs.astype(np.float64, copy=True)  # the scorer's rows may be read-only
     for banned in config.banned_ids:
         scores[banned] = NEG_INF
     if config.trigram_blocking:
         for banned in _trigram_bans(ids):
             scores[banned] = NEG_INF
     # stable order: by descending logp, then token id
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    order = np.argsort(-scores, kind="stable")
     out = []
     for tok in order[: config.k]:
         if scores[tok] == NEG_INF:

@@ -6,9 +6,9 @@ what the binary attention mask encodes. ``PrefixLM.__init__`` alone lays
 out the parameters, and decides whether the output projection shares
 storage with the token embedding (structural tying, not a copy).
 ``PromptCache`` runs the same stack for decoding without an autodiff graph,
-keeping each record's keys and values between calls; its layer norm, GELU
-and softmax are autodiff's own plain-array kernels, the ones the graph ops
-of ``forward`` wrap.
+scoring each summary prefix of a record once and keeping its keys, values
+and log-probabilities; its layer norm, GELU and softmax are autodiff's own
+plain-array kernels, the ones the graph ops of ``forward`` wrap.
 """
 
 from __future__ import annotations
@@ -385,30 +385,30 @@ class PromptCache:
     """Decode scorer of one record: ``PrefixLM.forward`` without a graph, cached.
 
     Calling it with a summary prefix (a tuple, or any 1-D sequence of ids)
-    returns the ``(V,)`` log-softmax of the vocabulary logits at the
-    ``[MASK]`` row of ``prompt_ids + prefix + [MASK]``, where ``prompt_ids``
-    is ``[START] source [END]``: the same numbers as ``forward`` with
-    dropout off and ``predict_logits`` on the whole prompt, to rounding.
-    Calling it with a 2-D block of ``n`` prefixes of one length returns
-    ``(n, V)``, row ``j`` for prefix ``j``, from one pass for all of them.
+    returns the read-only ``(V,)`` log-softmax of the vocabulary logits at
+    the ``[MASK]`` row of ``prompt_ids + prefix + [MASK]``, where
+    ``prompt_ids`` is ``[START] source [END]``: the same numbers as
+    ``forward`` with dropout off and ``predict_logits`` on the whole prompt,
+    to rounding. Calling it with a 2-D block of ``n`` prefixes of one length
+    returns ``(n, V)``, row ``j`` for prefix ``j``.
 
     Source rows attend to the source only and summary rows causally, so
     the keys and values a row feeds to attention never depend on the rows
-    after it. The source rows run once, here. A prefix token's keys and
-    values, for every layer, are kept in a ``(1, layers, 2h)`` array once a
-    call has run that token's row, and ``_paths`` maps each scored prefix
-    to the tuple of its tokens' arrays. ``_kv`` has one slot per prompt of
-    a call: the source's keys and values, written once per slot, then the
-    call's prefix rows and new rows. A call runs ``[MASK]`` and, for
-    prefixes not scored before, their last tokens: unscored parents (never,
-    in the searches) are scored first, as one block. A block's prefixes
-    are all new or all scored before. Only the ``[MASK]`` rows go through
+    after it. Each prefix is scored once: ``_scored`` maps it to the tuple
+    of its tokens' keys and values, for every layer a ``(1, layers, 2h)``
+    array per token, and to its log-probabilities. A prefix asked for again,
+    alone or in a block, gets its kept row and runs nothing. A pass runs,
+    per new prefix, its last token and ``[MASK]`` (here, the source and
+    ``[MASK]``, for the empty prefix); unscored parents (never, in the
+    searches) are scored first, as one block. ``_kv`` has one slot per
+    prompt of a pass: the source's keys and values, written once per slot,
+    then the prefix rows and new rows. Only the ``[MASK]`` rows go through
     the last layer's attention and feed-forward and get logits. ``rows``
     counts the rows run.
     """
 
     __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_out",
-                 "_prompt_len", "_kv", "_paths")
+                 "_prompt_len", "_kv", "_scored")
 
     def __init__(self, model: PrefixLM, prompt_ids, mask_id: int):
         cfg = model.config
@@ -437,12 +437,16 @@ class PromptCache:
         # fused projection
         self._prompt_len = len(ids)
         self._kv = np.empty((1, cfg.max_positions, cfg.num_layers, 2 * cfg.hidden_size))
-        self._run(self._rows_in(ids, len(ids), 0, 0), self._kv[:, : len(ids)], causal=False)
-        self._paths: dict[tuple, tuple] = {(): ()}
+        # the empty prefix: the source in segment 0, then [MASK] in segment 1
+        rows = len(ids) + 1
+        x = self._rows_in(np.append(ids, mask_id), rows, 0, np.repeat([0, 1], [len(ids), 1]))
+        self._scored = {(): ((), self._run(x, self._kv[:, :rows])[0])}
 
     def __call__(self, prefixes) -> np.ndarray:
         if isinstance(prefixes, tuple):
-            return log_softmax_values(self._out @ self._states([prefixes])[0])
+            if prefixes not in self._scored:
+                self._score([prefixes])
+            return self._scored[prefixes][1]
         try:
             block = np.asarray(prefixes, dtype=np.int64)
         except ValueError as exc:  # ragged rows, or not ids at all
@@ -451,69 +455,61 @@ class PromptCache:
             return self(tuple(block.tolist()))
         if block.ndim != 2 or not len(block):
             raise ContractError(f"a block of prefixes is 2-D and not empty, got {block.shape}")
-        return log_softmax_values(self._states(list(map(tuple, block.tolist()))) @ self._out.T)
+        prefixes = list(map(tuple, block.tolist()))
+        new = [prefix for prefix in dict.fromkeys(prefixes) if prefix not in self._scored]
+        if new:
+            self._score(new)
+        return np.array([self._scored[prefix][1] for prefix in prefixes])
 
-    def _states(self, prefixes: list[tuple]) -> np.ndarray:
-        """Final ``[MASK]`` states after each of ``prefixes`` (one length), ``(n, h)``.
-
-        The prefixes were all scored before, and only their ``[MASK]`` rows
-        run, or none was, and their last tokens run too.
-        """
-        paths = self._paths
+    def _score(self, prefixes: list[tuple]) -> None:
+        """Score ``prefixes``, new and of one length, in one pass, keeping each
+        one's keys, values and log-probabilities in ``_scored``."""
+        scored = self._scored
         source = self._prompt_len
-        past = source + len(prefixes[0])  # rows before [MASK]
-        if past >= self._limit:
-            raise ContractError(f"prompt of {past + 1} tokens exceeds max_positions {self._limit}")
-        kept = [paths.get(prefix) for prefix in prefixes]
-        if None not in kept:  # [MASK] rows only
-            ids, rows = [self._mask_id] * len(prefixes), 1
-        elif kept.count(None) < len(prefixes):
-            raise ContractError("a block mixes prefixes scored before with new ones")
-        else:  # each prefix's last token, then [MASK]
-            kept = [paths.get(prefix[:-1]) for prefix in prefixes]
-            if None in kept:
-                self._states(list(dict.fromkeys(
-                    prefix[:-1] for prefix, path in zip(prefixes, kept) if path is None)))
-                kept = [paths[prefix[:-1]] for prefix in prefixes]
-            ids, rows = [i for prefix in prefixes for i in (prefix[-1], self._mask_id)], 2
-            if min(ids) < 0 or max(ids) >= len(self._embed[0]):
-                raise ContractError("token id out of vocabulary range")
-            past -= 1
+        length = source + len(prefixes[0]) + 1  # with [MASK]
+        if length > self._limit:
+            raise ContractError(f"prompt of {length} tokens exceeds max_positions {self._limit}")
+        parents = [prefix[:-1] for prefix in prefixes]
+        unscored = [parent for parent in dict.fromkeys(parents) if parent not in scored]
+        if unscored:
+            self._score(unscored)
+        ids = [i for prefix in prefixes for i in (prefix[-1], self._mask_id)]
+        if min(ids) < 0 or max(ids) >= len(self._embed[0]):
+            raise ContractError("token id out of vocabulary range")
         if len(self._kv) < len(prefixes):
             slots = np.empty((len(prefixes),) + self._kv.shape[1:])
             slots[:, :source] = self._kv[0, :source]
             self._kv = slots
-        kv = self._kv[: len(prefixes), : past + rows]
-        for j, path in enumerate(kept):
-            if path:  # the prefix's own rows, after the source's
-                np.concatenate(path, out=kv[j, source:past])
-        states = self._run(self._rows_in(ids, rows, past, 1), kv, causal=True)
-        if rows == 2:
-            for j, (prefix, path) in enumerate(zip(prefixes, kept)):
-                paths[prefix] = (*path, kv[j, past:-1].copy())
-        return states
+        kv = self._kv[: len(prefixes), :length]
+        paths = [scored[parent][0] for parent in parents]
+        for j, path in enumerate(paths):
+            if path:  # the parent's own rows, after the source's
+                np.concatenate(path, out=kv[j, source : length - 2])
+        log_probs = self._run(self._rows_in(ids, 2, length - 2, 1), kv)
+        for j, (prefix, path) in enumerate(zip(prefixes, paths)):
+            scored[prefix] = ((*path, kv[j, -2:-1].copy()), log_probs[j])
 
-    def _rows_in(self, ids, rows: int, position: int, segment: int) -> np.ndarray:
+    def _rows_in(self, ids, rows: int, position: int, segment) -> np.ndarray:
         """Normalized embeddings of ``ids``: prompts' ``rows`` new rows, one
-        prompt after another, each prompt's placed from ``position`` on."""
+        prompt after another, each prompt's placed from ``position`` on, in
+        ``segment`` (one for all rows, or one per row)."""
         tok, pos, seg, gain, bias = self._embed
         x = tok.take(ids, axis=0)
         per_prompt = x.reshape(-1, rows, x.shape[1])
         per_prompt += pos[position : position + rows]
-        x += seg[segment]
+        per_prompt += seg[segment]
         return ad.layer_norm_values(x, gain, bias)[0]
 
-    def _run(self, x: np.ndarray, kv: np.ndarray, causal: bool):
+    def _run(self, x: np.ndarray, kv: np.ndarray) -> np.ndarray:
         """Run the rows ``x`` of n prompts through the stack, writing their keys and values.
 
         ``kv`` is ``(n, rows attended to, layers, 2h)``: per prompt, its
         stored rows, then one row for each of its new rows, which this
-        fills in. ``x`` holds the ``(n * r, h)`` new rows, prompt by prompt.
-        Every new row attends to its prompt's stored rows and new ones: to
-        all of them, or with ``causal`` (at most a token, then ``[MASK]``)
-        to those up to itself. A causal call returns each prompt's last
-        row's final state, ``(n, h)``; the source (``causal`` off, one
-        prompt) needs only its keys and values, and returns None.
+        fills in. ``x`` holds the ``(n * r, h)`` new rows, prompt by prompt;
+        each prompt's last new row is its ``[MASK]``. A new row attends to
+        its prompt's stored rows and new rows, except that no other row sees
+        ``[MASK]``. Returns the ``[MASK]`` rows' log-softmax of the
+        vocabulary logits, ``(n, V)``, read-only.
         """
         n, length, n_layers, width = kv.shape
         hidden = width // 2
@@ -530,15 +526,13 @@ class PromptCache:
             qkv = x @ qkv_w
             qkv += qkv_b
             kv[:, past:, i] = qkv[:, hidden:].reshape(n, rows, width)
-            if i == n_layers - 1:  # past here only each prompt's last row is read
-                if not causal:
-                    return None
+            if i == n_layers - 1:  # past here only each prompt's [MASK] row is read
                 x, qkv, rows = x[rows - 1 :: rows], qkv[rows - 1 :: rows], 1
             q = qkv[:, :hidden].reshape(n, rows, heads, size).transpose(0, 2, 1, 3)
             scores = q @ heads_kv[:, :, i, 0].transpose(0, 2, 3, 1)
             scores *= scale
-            if causal and rows == 2:  # a prompt's token row does not see its [MASK]
-                scores[:, :, 0, -1] += MASK_BIAS
+            if rows > 1:  # no row but [MASK] itself sees [MASK]
+                scores[:, :, :-1, -1] += MASK_BIAS
             probs = ad.softmax_values(scores)
             ctx = probs @ heads_kv[:, :, i, 1].transpose(0, 2, 1, 3)
             attn = ctx.transpose(0, 2, 1, 3).reshape(len(x), hidden) @ out_w
@@ -551,4 +545,6 @@ class PromptCache:
             ff += ff_b
             ff += x
             x = ad.layer_norm_values(ff, ff_gain, ff_bias)[0]
-        return x
+        log_probs = log_softmax_values(x @ self._out.T)
+        log_probs.setflags(write=False)
+        return log_probs

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from copysum.bpe import train_bpe
 from copysum.cli import _merge_options, build_parser, main
 from copysum.data import SynthConfig, synth_generate, write_pairs
 
@@ -268,6 +269,19 @@ class TestSweep:
         assert err.count("\n") == 1 and err.startswith("configuration error: ")
         assert not (out / "case-a").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--model-preset", "nope"),
+                                             ("--max-positions", "0")])
+    def test_bad_model_setting_fails_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--output-dir", str(out), "--synth", "--train-pairs", "40",
+            "--presets", "case-a", flag, value,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert not (out / "corpus").exists() and not (out / "vocab.txt").exists()
+
     def test_single_preset_equals_composition(self, corpus_dir, tmp_path):
         """sweep == build-vocab + train + decode chained by hand."""
         sweep_out = tmp_path / "sweep"
@@ -448,6 +462,21 @@ class TestBadInputFiles:
     def test_vocab_header_over_a_short_body(self, tmp_path, capsys):
         vocab = tmp_path / "short.txt"
         vocab.write_text("\n".join((FIXTURES / "vocab.txt").read_text().split("\n")[:5]))
+        rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")
+
+    @pytest.mark.parametrize("saved_policy, header", [
+        ("replace", "#unk_policy skip"),  # no such policy
+        ("error", "#unk_policy replace"),  # replace, with no [UNK] to replace with
+    ])
+    def test_vocab_whose_unk_policy_cannot_work(self, tmp_path, capsys, saved_policy, header):
+        vocab = tmp_path / "vocab.txt"
+        train_bpe(["bad keg lim", "fad gem kid"], target_size=40,
+                  unk_policy=saved_policy).save(vocab)
+        lines = vocab.read_text().split("\n")
+        assert lines[1].startswith("#unk_policy ")
+        vocab.write_text("\n".join([lines[0], header, *lines[2:]]))
         rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")

@@ -39,9 +39,9 @@ FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 # Transformer rows the cached scorer runs, pinned (see test_row_count_pins);
 # a full recompute of every prompt runs the figure in the comment.
 TINY_BEAM_ROWS = 72  # 261
-TINY_BEST_FIRST_ROWS = 79  # 346
+TINY_BEST_FIRST_ROWS = 68  # 346
 FIXTURE20_BEAM_ROWS = 1283  # 9405
-FIXTURE20_BEST_FIRST_ROWS = 5321  # 48543
+FIXTURE20_BEST_FIRST_ROWS = 5207  # 48543
 # Scorer calls under beam, pinned beside the rows: one call per step scores
 # the whole beam; one call per hypothesis makes the figure in the comment.
 TINY_BEAM_CALLS = 11  # 27
@@ -137,8 +137,8 @@ class TestLogProbParity:
     def test_same_calls_give_the_same_bits(self):
         """Two scorers fed one call sequence agree exactly: decodes repeat.
 
-        A prefix scored again alone may differ in the last bits from its
-        first score, which ran beside its last token's row.
+        A prefix is scored once, so a repeated call returns its first
+        score (``TestBlocks.test_a_prefix_is_scored_once``).
         """
         lm = random_model(np.random.default_rng(23), 0)
         calls = [(), (7,), (7, 8), (7, 8), (9, 9, 9), (7,), ()]
@@ -194,7 +194,7 @@ class TestBlocks:
                 second,
                 second[:1],  # n = 1, scored before
                 deep,  # unscored parents, scored first as one block
-                deep,  # scored before: [MASK] rows only
+                deep,  # scored before: the kept rows, nothing runs
             ]
             for block in blocks:
                 got = scorer(np.array(block, dtype=np.int64))
@@ -209,18 +209,43 @@ class TestBlocks:
         scorer((7,))
         bad_blocks = [
             [(7,), (7, 8)],  # unequal lengths
-            np.array([[7], [8]]),  # (7,) scored before, (8,) new
-            np.array([[8], [7]]),
             np.zeros((0, 1), dtype=np.int64),  # no prefix
             np.zeros((2, 1, 1), dtype=np.int64),  # neither one prefix nor a block
         ]
         for bad in bad_blocks:
             with pytest.raises(ContractError):
                 scorer(bad)
-        rows = scorer.rows
-        np.testing.assert_allclose(scorer(np.array([[8], [9]]))[0], scorer((8,)), rtol=0,
-                                   atol=1e-12)
-        assert scorer.rows == rows + 4 + 1
+
+    def test_a_prefix_is_scored_once(self):
+        """Alone, in a block, repeated in a block or mixed with new prefixes,
+        in any order, a prefix gets its first score's bits and runs no rows
+        again; only a block's new prefixes run, two rows each."""
+        rng = np.random.default_rng(28)
+        lm = random_model(rng, 6)
+        source = [4, 5, 6]
+        oracle = full_recompute_scorer(lm, STUB_VOCAB, source)
+        calls = [
+            [(7,), np.array([[7], [8]]), (8,), np.array([[8], [8], [7]]), [9], (7,)],
+            [np.array([[8], [7], [8]]), (7,), np.array([[9], [7]]), (9,), [8]],
+            [(9,), np.array([[7], [9], [8]]), np.array([[9], [8]]), (8,), np.array([[7]])],
+        ]
+        for order in calls:
+            scorer = make_model_scorer(lm, STUB_VOCAB, source)
+            first = {(): scorer(())}
+            for call in order:
+                rows = scorer.rows
+                block = isinstance(call, np.ndarray)
+                prefixes = list(map(tuple, call.tolist())) if block else [tuple(call)]
+                new = set(prefixes) - set(first)
+                got = scorer(call)
+                assert scorer.rows == rows + 2 * len(new), (order, call)
+                for row, prefix in zip(got if block else [got], prefixes):
+                    first.setdefault(prefix, row.copy())
+                    assert np.array_equal(row, first[prefix]), (order, call, prefix)
+                    np.testing.assert_allclose(row, oracle(prefix), rtol=0, atol=1e-12)
+            kept = scorer((7,))
+            with pytest.raises(ValueError):  # kept rows are read-only
+                kept[0] = 0.0
 
 
 # -- whole decodes --------------------------------------------------------
@@ -306,9 +331,10 @@ def tiny_decode():
 def test_row_count_pins(tiny_decode, fixture_decode):
     """Transformer rows and scorer calls per decode: exact counts that repeat, pinned.
 
-    The cache runs the source once, then per scored prefix its last token
-    and [MASK]; beam scores its whole beam in one call. A change that
-    lowers a count lowers its pin.
+    The cache runs the source and [MASK] once, then per new prefix its
+    last token and [MASK], and nothing for a prefix scored before (the
+    greedy rerun of sbwr); beam scores its whole beam in one call. A change
+    that lowers a count lowers its pin.
     """
     pins = [
         (tiny_decode, "beam", TINY_BEAM_ROWS, TINY_BEAM_CALLS),
