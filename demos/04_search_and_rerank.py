@@ -23,7 +23,7 @@ TABLE = {
 }
 
 
-@rowwise  # beam search scores its whole beam in one call
+@rowwise  # the searches pass a list of prefixes; this scores them one at a time
 def toy_lm(prefix):
     probs = TABLE.get(prefix, [0.7, 0.1, 0.1, 0.1])
     return np.log(np.asarray(probs))

@@ -264,10 +264,10 @@ def _train_one(
 def cmd_train(opts) -> int:
     train_config = TrainConfig(**_fields(TrainConfig, opts))
     model_config = _model_config(opts)
+    sampling = _resolve_sampling(opts)
     vocab = Vocabulary.load(opts.vocab)
     train_records, _ = ingest(opts.train, "pairs")
     valid_records = ingest(opts.valid, "pairs")[0] if opts.valid else []
-    sampling = _resolve_sampling(opts)
     model, rows = _train_one(vocab, train_records, valid_records, sampling,
                              replace(model_config, vocab_size=len(vocab)), train_config)
     model.save(opts.checkpoint)
@@ -295,25 +295,32 @@ def _search_config(vocab: Vocabulary, opts, **search_config) -> SearchConfig:
     )
 
 
+def _decode_all(model, vocab, records, search, search_config, rerank_config, output,
+                summaries_out=None) -> list[dict]:
+    """Decode ``records``, writing the rows to ``output`` and, when given, one
+    summary per line to ``summaries_out``; returns the rows."""
+    rows = [
+        decode_record(model, vocab, r.id, r.source, search, search_config, rerank_config)
+        for r in records
+    ]
+    _write_jsonl(output, rows)
+    if summaries_out:
+        Path(summaries_out).write_text(
+            "\n".join(row["summary"] for row in rows) + "\n", encoding="utf-8"
+        )
+    return rows
+
+
 def cmd_decode(opts) -> int:
+    rerank_config = RerankConfig(
+        method=opts.rerank, c=opts.c, r_sbwr=opts.r, length_offset=opts.length_offset
+    )
     vocab = Vocabulary.load(opts.vocab)
     model = PrefixLM.load(opts.checkpoint)
     records, _ = ingest(opts.input, "pairs")
     search_config = _search_config(vocab, opts, answer_pool_size=opts.pool_size)
-    rerank_config = RerankConfig(
-        method=opts.rerank, c=opts.c, r_sbwr=opts.r, length_offset=opts.length_offset
-    )
-    rows = [
-        decode_record(
-            model, vocab, r.id, r.source, opts.search, search_config, rerank_config
-        )
-        for r in records
-    ]
-    _write_jsonl(opts.output, rows)
-    if opts.summaries_out:
-        Path(opts.summaries_out).write_text(
-            "\n".join(row["summary"] for row in rows) + "\n", encoding="utf-8"
-        )
+    rows = _decode_all(model, vocab, records, opts.search, search_config, rerank_config,
+                       opts.output, opts.summaries_out)
     failures = sum(1 for row in rows if row["failed"])
     print(f"decoded {len(rows)} inputs ({failures} failed) -> {opts.output}")
     return 0
@@ -414,20 +421,12 @@ def cmd_sweep(opts) -> int:
             model.save(preset_dir / "checkpoint.bin")
             _write_jsonl(preset_dir / "train_report.jsonl", train_rows)
 
-            decode_rows = [
-                decode_record(
-                    model, vocab, r.id, r.source, "beam", search_config, rerank_config
-                )
-                for r in splits["test"]
-            ]
-            _write_jsonl(preset_dir / "records.jsonl", decode_rows)
-            summaries = [row["summary"] for row in decode_rows]
-            (preset_dir / "summaries.txt").write_text(
-                "\n".join(summaries) + "\n", encoding="utf-8"
-            )
+            decode_rows = _decode_all(model, vocab, splits["test"], "beam", search_config,
+                                      rerank_config, preset_dir / "records.jsonl",
+                                      preset_dir / "summaries.txt")
             row, _ = metrics.evaluate_system(
                 preset_name,
-                summaries,
+                [decoded["summary"] for decoded in decode_rows],
                 [r.summary for r in splits["test"]],
                 [r.source for r in splits["test"]],
             )

@@ -3,14 +3,11 @@
 Both searches score a candidate by its summed token log-likelihood and only
 ever return sequences that terminate with the end token. They consume a
 scorer callable so toy language models can drive them in tests exactly like
-the trained transformer does in production. Called with one prefix, a tuple
-of ids, a scorer returns its ``(V,)`` next-token log-probabilities; called
-with an ``(n, t)`` int array of ``n`` prefixes of one length, it returns
-``(n, V)``, row by row. Best-first scores one prefix per call, beam search
-its whole beam per step (a beam of one as one prefix); ``rowwise`` gives a
-one-prefix scorer the block form. The model's scorer scores each prefix
-once: a prefix asked for again, as the greedy rerun of ``predict_length``
-asks for the main search's prefixes, gets the same read-only row back.
+the trained transformer does in production. A search calls its scorer
+with a list of prefix tuples of one length and gets back the list of their
+``(V,)`` next-token log-probabilities; ``rowwise`` makes such a scorer from
+a one-prefix function. The model's scorer scores each prefix once, so the
+greedy rerun of ``predict_length`` gets the main search's rows back.
 """
 
 from __future__ import annotations
@@ -75,9 +72,9 @@ class RerankConfig:
     def __post_init__(self):
         if self.method not in ("none", "length_norm", "bp_norm", "sbwr"):
             raise ConfigError(f"unknown rerank method {self.method!r}")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ConfigError("bp-norm scale c must be > 0")
-        if self.r_sbwr < 0:
+        if not self.r_sbwr >= 0:
             raise ConfigError("sbwr coefficient must be >= 0")
 
 
@@ -107,15 +104,14 @@ def make_model_scorer(model: PrefixLM, vocab: Vocabulary, source_ids, max_summar
 
 
 def rowwise(score_one):
-    """A scorer that takes a block too, scoring its rows one at a time.
-
-    ``score_one`` maps one prefix tuple to its ``(V,)`` log-probabilities.
-    """
+    """A scorer from ``score_one``, which maps one prefix tuple to its
+    ``(V,)`` log-probabilities: a list gets one row per prefix, and a tuple,
+    as one-prefix shorthand, its row."""
 
     def scorer(prefixes):
-        if isinstance(prefixes, np.ndarray) and prefixes.ndim == 2:
-            return np.array([score_one(tuple(row)) for row in prefixes.tolist()])
-        return score_one(prefixes)
+        if isinstance(prefixes, tuple):
+            return score_one(prefixes)
+        return [score_one(prefix) for prefix in prefixes]
 
     return scorer
 
@@ -175,7 +171,7 @@ def best_first_search(scorer, config: SearchConfig):
             diag.hit_expansion_cap = True
             break
         diag.expansions += 1
-        for tok, logp in _top_extensions(ids, scorer(ids), config):
+        for tok, logp in _top_extensions(ids, scorer([ids])[0], config):
             heapq.heappush(heap, (-(score + logp), len(ids) + 1, ids + (tok,)))
         if len(heap) > config.heap_capacity:
             # keep the best: a sorted list is a heap, and entries are unique
@@ -198,9 +194,7 @@ def beam_search(scorer, config: SearchConfig):
         if not beam or len(pool) >= config.pool_size:
             break
         candidates: list[tuple[float, tuple[int, ...]]] = []
-        prefixes = [ids for ids, _ in beam]
-        rows = scorer(np.array(prefixes)) if len(beam) > 1 else [scorer(prefixes[0])]
-        for (ids, score), log_probs in zip(beam, rows):
+        for (ids, score), log_probs in zip(beam, scorer([ids for ids, _ in beam])):
             diag.expansions += 1
             for tok, logp in _top_extensions(ids, log_probs, config):
                 candidates.append((score + logp, ids + (tok,)))

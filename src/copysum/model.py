@@ -384,27 +384,26 @@ _RUN_WEIGHTS = ("attn_out_weight", "attn_out_bias", "attn_ln_gain", "attn_ln_bia
 class PromptCache:
     """Decode scorer of one record: ``PrefixLM.forward`` without a graph, cached.
 
-    Calling it with a summary prefix (a tuple, or any 1-D sequence of ids)
-    returns the read-only ``(V,)`` log-softmax of the vocabulary logits at
-    the ``[MASK]`` row of ``prompt_ids + prefix + [MASK]``, where
-    ``prompt_ids`` is ``[START] source [END]``: the same numbers as
-    ``forward`` with dropout off and ``predict_logits`` on the whole prompt,
-    to rounding. Calling it with a 2-D block of ``n`` prefixes of one length
-    returns ``(n, V)``, row ``j`` for prefix ``j``.
+    Called with a summary prefix, a tuple of ids, it returns the read-only
+    ``(V,)`` log-softmax of the vocabulary logits at the ``[MASK]`` row of
+    ``prompt_ids + prefix + [MASK]``, where ``prompt_ids`` is ``[START]
+    source [END]``: the same numbers as ``forward`` with dropout off and
+    ``predict_logits`` on the whole prompt, to rounding. Called with a list
+    of prefix tuples, it returns the list of their rows; the new ones among
+    them must be of one length and are scored in one pass.
 
     Source rows attend to the source only and summary rows causally, so
     the keys and values a row feeds to attention never depend on the rows
     after it. Each prefix is scored once: ``_scored`` maps it to the tuple
     of its tokens' keys and values, for every layer a ``(1, layers, 2h)``
-    array per token, and to its log-probabilities. A prefix asked for again,
-    alone or in a block, gets its kept row and runs nothing. A pass runs,
-    per new prefix, its last token and ``[MASK]`` (here, the source and
-    ``[MASK]``, for the empty prefix); unscored parents (never, in the
-    searches) are scored first, as one block. ``_kv`` has one slot per
-    prompt of a pass: the source's keys and values, written once per slot,
-    then the prefix rows and new rows. Only the ``[MASK]`` rows go through
-    the last layer's attention and feed-forward and get logits. ``rows``
-    counts the rows run.
+    array per token, and to its log-probabilities, which a prefix asked for
+    again gets back. A pass runs, per new prefix, its last token and
+    ``[MASK]`` (here, the source and ``[MASK]``, for the empty prefix);
+    unscored parents (never, in the searches) are scored first. ``_kv`` has
+    one slot per prompt of a pass: the source's keys and values, written
+    once per slot, then the prefix rows and new rows. Only the ``[MASK]``
+    rows go through the last layer's attention and feed-forward and get
+    logits. ``rows`` counts the rows run.
     """
 
     __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_out",
@@ -437,29 +436,20 @@ class PromptCache:
         # fused projection
         self._prompt_len = len(ids)
         self._kv = np.empty((1, cfg.max_positions, cfg.num_layers, 2 * cfg.hidden_size))
-        # the empty prefix: the source in segment 0, then [MASK] in segment 1
+        # the empty prefix: the source, then [MASK]
         rows = len(ids) + 1
-        x = self._rows_in(np.append(ids, mask_id), rows, 0, np.repeat([0, 1], [len(ids), 1]))
+        x = self._rows_in(np.append(ids, mask_id), rows, 0)
         self._scored = {(): ((), self._run(x, self._kv[:, :rows])[0])}
 
-    def __call__(self, prefixes) -> np.ndarray:
+    def __call__(self, prefixes):
         if isinstance(prefixes, tuple):
-            if prefixes not in self._scored:
-                self._score([prefixes])
-            return self._scored[prefixes][1]
-        try:
-            block = np.asarray(prefixes, dtype=np.int64)
-        except ValueError as exc:  # ragged rows, or not ids at all
-            raise ContractError("a block's prefixes must be ids of one length") from exc
-        if block.ndim == 1:
-            return self(tuple(block.tolist()))
-        if block.ndim != 2 or not len(block):
-            raise ContractError(f"a block of prefixes is 2-D and not empty, got {block.shape}")
-        prefixes = list(map(tuple, block.tolist()))
+            return self([prefixes])[0]
         new = [prefix for prefix in dict.fromkeys(prefixes) if prefix not in self._scored]
+        if len({len(prefix) for prefix in new}) > 1:
+            raise ContractError("the new prefixes of a call must be of one length")
         if new:
             self._score(new)
-        return np.array([self._scored[prefix][1] for prefix in prefixes])
+        return [self._scored[prefix][1] for prefix in prefixes]
 
     def _score(self, prefixes: list[tuple]) -> None:
         """Score ``prefixes``, new and of one length, in one pass, keeping each
@@ -485,19 +475,21 @@ class PromptCache:
         for j, path in enumerate(paths):
             if path:  # the parent's own rows, after the source's
                 np.concatenate(path, out=kv[j, source : length - 2])
-        log_probs = self._run(self._rows_in(ids, 2, length - 2, 1), kv)
+        log_probs = self._run(self._rows_in(ids, 2, length - 2), kv)
         for j, (prefix, path) in enumerate(zip(prefixes, paths)):
             scored[prefix] = ((*path, kv[j, -2:-1].copy()), log_probs[j])
 
-    def _rows_in(self, ids, rows: int, position: int, segment) -> np.ndarray:
+    def _rows_in(self, ids, rows: int, position: int) -> np.ndarray:
         """Normalized embeddings of ``ids``: prompts' ``rows`` new rows, one
-        prompt after another, each prompt's placed from ``position`` on, in
-        ``segment`` (one for all rows, or one per row)."""
+        prompt after another, each prompt's placed from ``position`` on. As in
+        ``embed``, a row in ``prompt_ids`` is in segment 0 and a later row in 1."""
         tok, pos, seg, gain, bias = self._embed
         x = tok.take(ids, axis=0)
         per_prompt = x.reshape(-1, rows, x.shape[1])
         per_prompt += pos[position : position + rows]
-        per_prompt += seg[segment]
+        split = max(self._prompt_len - position, 0)
+        per_prompt[:, :split] += seg[0]
+        per_prompt[:, split:] += seg[1]
         return ad.layer_norm_values(x, gain, bias)[0]
 
     def _run(self, x: np.ndarray, kv: np.ndarray) -> np.ndarray:

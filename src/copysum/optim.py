@@ -14,15 +14,6 @@ from .autodiff import Parameter
 from .errors import ContractError
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment estimates; shapes must match the parameter."""
-
-    step_count: int
-    m: np.ndarray
-    v: np.ndarray
-
-
 # Adam's moment decay rates and the floor added to its denominator
 BETA1 = 0.9
 BETA2 = 0.999
@@ -36,10 +27,9 @@ class AdamW:
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.states = [
-            AdamState(0, np.zeros_like(p.data), np.zeros_like(p.data))
-            for p in self.params
-        ]
+        self.t = 0  # steps taken
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -47,15 +37,15 @@ class AdamW:
 
     def step(self) -> None:
         """One bias-corrected update from the currently stored gradients."""
-        for p, state in zip(self.params, self.states):
-            if state.m.shape != p.data.shape:
+        self.t += 1
+        t = self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if m.shape != p.data.shape:
                 raise ContractError(
-                    f"optimizer state shape {state.m.shape} does not match "
+                    f"optimizer state shape {m.shape} does not match "
                     f"parameter {p.name!r} shape {p.data.shape}"
                 )
-            g, m, v = p.grad, state.m, state.v
-            state.step_count += 1
-            t = state.step_count
+            g = p.grad
             # in place, in the order of the textbook form, so the same bits:
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
             # p -= lr (m / c1) / (sqrt(v / c2) + eps), then p -= lr wd p

@@ -58,8 +58,9 @@ class SamplingConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name}={p} outside [0, 1]")
-        total = self.mask_frac + self.random_frac + self.keep_frac
-        if abs(total - 1.0) > 1e-9 or min(self.mask_frac, self.random_frac, self.keep_frac) < 0:
+        fracs = (self.mask_frac, self.random_frac, self.keep_frac)
+        total = sum(fracs)
+        if not (abs(total - 1.0) <= 1e-9 and min(fracs) >= 0):
             raise ConfigError(f"corruption mix must be non-negative and sum to 1, got {total}")
 
 

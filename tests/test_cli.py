@@ -109,6 +109,7 @@ class TestTrain:
         ("--batch-size", "0"), ("--epochs", "0"), ("--epochs", "-1"),
         ("--plateau-patience", "0"), ("--lr", "-0.001"), ("--weight-decay", "-0.01"),
         ("--plateau-min-delta", "-1"), ("--dropout", "-0.1"), ("--dropout", "1"),
+        ("--mask-frac", "nan"),
     ])
     def test_bad_training_option_is_a_config_error(self, corpus_dir, trained, tmp_path,
                                                     capsys, flag, value):
@@ -175,6 +176,19 @@ class TestDecode:
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("configuration error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--c", "--r"])
+    def test_nan_rerank_setting_is_a_config_error(self, tmp_path, capsys, flag):
+        """Refused before any file is read: none of the files named here exists."""
+        missing = tmp_path / "missing"
+        rc = main([
+            "decode", "--checkpoint", str(missing / "m.bin"), "--vocab", str(missing / "v.txt"),
+            "--input", str(missing / "test.jsonl"), "--output", str(tmp_path / "out.jsonl"),
+            "--rerank", "sbwr", flag, "nan",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
 
     def test_summaries_text_output(self, corpus_dir, trained, tmp_path):
         _, vocab_path, ckpt = trained

@@ -91,6 +91,7 @@ class TestBestFirst:
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_pool_when_nothing_terminates(self):
+        @rowwise
         def never_ends(prefix):
             logits = np.full(3, -50.0)
             logits[1] = 0.0
@@ -196,6 +197,7 @@ class TestTrigramBlocking:
 
     def test_search_outputs_have_no_repeated_trigram(self):
         # a model that loves the cycle 1,2,3,1,2,3,... unless blocked
+        @rowwise
         def cyclic(prefix):
             logits = np.full(4, -10.0)
             logits[(len(prefix) % 3) + 1] = 0.0
@@ -210,6 +212,7 @@ class TestTrigramBlocking:
                 assert len(trigrams) == len(set(trigrams))
 
     def test_blocking_changes_cyclic_output(self):
+        @rowwise
         def cyclic(prefix):
             logits = np.full(4, -10.0)
             logits[(len(prefix) % 3) + 1] = 0.0
@@ -225,6 +228,35 @@ class TestTrigramBlocking:
         free_pool, _ = beam_search(cyclic, off)
         assert not free_pool  # unblocked greedy cycles forever, never ends
         assert blocked_pool and len(blocked_pool[0].ids) <= 8
+
+
+class TestScorerContract:
+    def test_every_search_call_is_a_list_of_equal_length_tuples(self, tiny_vocab):
+        """Beam, best-first and the greedy rerun of predict_length call the
+        scorer only with a list of prefix tuples of one length."""
+        lm = TableLM(len(tiny_vocab), seed=3, alpha=0.6)
+        calls = []
+
+        def recording(prefixes):
+            calls.append(prefixes)
+            return lm(prefixes)
+
+        cfg = SearchConfig(end_id=tiny_vocab.end_id, k=3, max_summary_len=5)
+        runs = {
+            "beam": lambda: beam_search(recording, cfg),
+            "best-first": lambda: best_first_search(recording, cfg),
+            "predict_length": lambda: predict_length(recording, cfg, RerankConfig(), tiny_vocab),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert calls, name
+            for call in calls:
+                assert isinstance(call, list) and call, (name, call)
+                assert all(isinstance(prefix, tuple) for prefix in call), (name, call)
+                assert len({len(prefix) for prefix in call}) == 1, (name, call)
+            if name == "beam":  # the whole beam in one call
+                assert max(map(len, calls)) > 1
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +279,7 @@ class TestPredictLength:
         assert predict_length(scorer, cfg, RerankConfig(length_offset=0), tiny_vocab) == 5
 
     def test_fallback_on_greedy_failure(self, tiny_vocab):
+        @rowwise
         def never_ends(prefix):
             logits = np.full(len(tiny_vocab), -30.0)
             logits[tiny_vocab.encode("bad")[0]] = 0.0

@@ -172,7 +172,7 @@ class TestLogProbParity:
 
 
 class TestBlocks:
-    """An (n, t) block of prefixes against the same prefixes scored one at a time."""
+    """A list of prefixes against the same prefixes scored one at a time."""
 
     def test_rows_match_one_prefix_at_a_time(self):
         rng = np.random.default_rng(26)
@@ -193,59 +193,58 @@ class TestBlocks:
                 first,  # n = k, as beam's second step
                 second,
                 second[:1],  # n = 1, scored before
-                deep,  # unscored parents, scored first as one block
+                deep,  # unscored parents, scored first in one pass
                 deep,  # scored before: the kept rows, nothing runs
             ]
             for block in blocks:
-                got = scorer(np.array(block, dtype=np.int64))
-                assert got.shape == (len(block), vocab_size)
+                got = scorer(block)
+                assert isinstance(got, list) and len(got) == len(block)
                 for row, prefix in zip(got, block):
+                    assert row.shape == (vocab_size,)
                     np.testing.assert_allclose(row, alone(prefix), rtol=0, atol=1e-12)
                     np.testing.assert_allclose(row, oracle(prefix), rtol=0, atol=1e-12)
 
     def test_bad_blocks_rejected(self):
+        """New prefixes of mixed lengths are refused; an empty list scores nothing."""
         lm = random_model(np.random.default_rng(27), 5)
         scorer = make_model_scorer(lm, STUB_VOCAB, [4, 5, 6])
         scorer((7,))
-        bad_blocks = [
-            [(7,), (7, 8)],  # unequal lengths
-            np.zeros((0, 1), dtype=np.int64),  # no prefix
-            np.zeros((2, 1, 1), dtype=np.int64),  # neither one prefix nor a block
-        ]
-        for bad in bad_blocks:
-            with pytest.raises(ContractError):
-                scorer(bad)
+        assert scorer([]) == []
+        with pytest.raises(ContractError):
+            scorer([(8,), (8, 9)])
+        # only the new prefixes need one length
+        assert len(scorer([(), (7,), (7, 8)])) == 3
 
     def test_a_prefix_is_scored_once(self):
-        """Alone, in a block, repeated in a block or mixed with new prefixes,
+        """Alone, in a list, repeated in a list or mixed with new prefixes,
         in any order, a prefix gets its first score's bits and runs no rows
-        again; only a block's new prefixes run, two rows each."""
+        again; only a list's new prefixes run, two rows each."""
         rng = np.random.default_rng(28)
         lm = random_model(rng, 6)
         source = [4, 5, 6]
         oracle = full_recompute_scorer(lm, STUB_VOCAB, source)
         calls = [
-            [(7,), np.array([[7], [8]]), (8,), np.array([[8], [8], [7]]), [9], (7,)],
-            [np.array([[8], [7], [8]]), (7,), np.array([[9], [7]]), (9,), [8]],
-            [(9,), np.array([[7], [9], [8]]), np.array([[9], [8]]), (8,), np.array([[7]])],
+            [(7,), [(7,), (8,)], (8,), [(8,), (8,), (7,)], [(9,)], (7,)],
+            [[(8,), (7,), (8,)], (7,), [(9,), (7,)], (9,), [(8,)]],
+            [(9,), [(7,), (9,), (8,)], [(9,), (8,)], (8,), [(7,)]],
         ]
         for order in calls:
             scorer = make_model_scorer(lm, STUB_VOCAB, source)
             first = {(): scorer(())}
             for call in order:
                 rows = scorer.rows
-                block = isinstance(call, np.ndarray)
-                prefixes = list(map(tuple, call.tolist())) if block else [tuple(call)]
+                prefixes = call if isinstance(call, list) else [call]
                 new = set(prefixes) - set(first)
                 got = scorer(call)
                 assert scorer.rows == rows + 2 * len(new), (order, call)
-                for row, prefix in zip(got if block else [got], prefixes):
+                for row, prefix in zip(got if isinstance(call, list) else [got], prefixes):
                     first.setdefault(prefix, row.copy())
                     assert np.array_equal(row, first[prefix]), (order, call, prefix)
                     np.testing.assert_allclose(row, oracle(prefix), rtol=0, atol=1e-12)
             kept = scorer((7,))
             with pytest.raises(ValueError):  # kept rows are read-only
                 kept[0] = 0.0
+            assert scorer([(7,)])[0] is kept  # a list hands back the kept row, not a copy
 
 
 # -- whole decodes --------------------------------------------------------
