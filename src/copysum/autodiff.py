@@ -294,16 +294,17 @@ def softmax_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _softmax_vjp(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient at the input of ``softmax_values`` with output ``out``, for upstream ``u``."""
+    inner = (u * out).sum(axis=-1, keepdims=True)
+    return out * (u - inner)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Normalized exponentials along the last axis; rejects non-finite input."""
     _require_finite(a.data, "softmax")
     data = softmax_values(a.data)
-
-    def vjp(u):
-        inner = (u * data).sum(axis=-1, keepdims=True)
-        return (data * (u - inner),)
-
-    return _make(data, (a,), vjp)
+    return _make(data, (a,), lambda u: (_softmax_vjp(u, data),))
 
 
 def log_softmax_values(logits: np.ndarray) -> np.ndarray:
@@ -344,22 +345,43 @@ def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return out, xhat, std
 
 
+def _layer_norm_vjp(u: np.ndarray, xhat: np.ndarray, std: np.ndarray, gain: np.ndarray):
+    """Gradients of ``layer_norm_values`` for upstream ``u``: ``(input, gain, bias)``."""
+    lead = tuple(range(u.ndim - 1))
+    ggain = (u * xhat).sum(axis=lead) if lead else u * xhat
+    gbias = u.sum(axis=lead) if lead else u.copy()
+    column = _mean_column(xhat.shape[-1])
+    dxhat = u * gain
+    dx = dxhat - dxhat @ column
+    dx -= xhat * ((dxhat * xhat) @ column)
+    dx /= std
+    return dx, ggain, gbias
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     data, xhat, std = layer_norm_values(a.data, gain.data, bias.data)
-    column = _mean_column(xhat.shape[-1])
+    return _make(data, (a, gain, bias), lambda u: _layer_norm_vjp(u, xhat, std, gain.data))
 
-    def vjp(u):
-        lead = tuple(range(u.ndim - 1))
-        ggain = (u * xhat).sum(axis=lead) if lead else u * xhat
-        gbias = u.sum(axis=lead) if lead else u.copy()
-        dxhat = u * gain.data
-        dx = dxhat - dxhat @ column
-        dx -= xhat * ((dxhat * xhat) @ column)
-        dx /= std
-        return (dx, ggain, gbias)
 
-    return _make(data, (a, gain, bias), vjp)
+def _dropped(x: np.ndarray, keep: np.ndarray | None, rate: float) -> np.ndarray:
+    """``x`` scaled by 1 / (1 - rate) where ``keep`` holds and 0 elsewhere, as a
+    new array; ``x`` itself when ``keep`` is None. Dropout's forward and its
+    gradient both."""
+    if keep is None:
+        return x
+    out = x * (1.0 / (1.0 - rate))
+    out *= keep
+    return out
+
+
+def _check_keep(keep: np.ndarray | None, shape: tuple, rate: float) -> None:
+    if keep is None:
+        return
+    if not 0.0 < rate < 1.0:
+        raise ContractError("dropout rate must be in (0, 1)")
+    if keep.shape != shape:
+        raise ContractError(f"dropout mask {keep.shape} does not match {shape}")
 
 
 def dropout(a: Tensor, keep: np.ndarray | None, rate: float) -> Tensor:
@@ -370,20 +392,78 @@ def dropout(a: Tensor, keep: np.ndarray | None, rate: float) -> Tensor:
     """
     if keep is None:
         return a
-    if not 0.0 < rate < 1.0:
-        raise ContractError("dropout rate must be in (0, 1)")
-    if keep.shape != a.data.shape:
-        raise ContractError(f"dropout mask {keep.shape} does not match {a.data.shape}")
-    scale = 1.0 / (1.0 - rate)
-    data = a.data * scale
-    data *= keep
+    _check_keep(keep, a.data.shape, rate)
+    return _make(_dropped(a.data, keep, rate), (a,), lambda u: (_dropped(u, keep, rate),))
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, rate: float,
+                        gain: Tensor, bias: Tensor) -> Tensor:
+    """``layer_norm(x + dropout(y, keep, rate), gain, bias)`` as one node.
+
+    The same array operations, in the same order, as those three ops, so
+    the same bits forward and backward; the backward pass holds the
+    normalized sum, not the sum or the dropped ``y``.
+    """
+    if x.data.shape != y.data.shape:
+        raise ContractError(f"residual shapes differ: {x.data.shape} and {y.data.shape}")
+    _check_keep(keep, y.data.shape, rate)
+    data, xhat, std = layer_norm_values(x.data + _dropped(y.data, keep, rate), gain.data,
+                                        bias.data)
 
     def vjp(u):
-        grad = u * scale
-        grad *= keep
-        return (grad,)
+        dx, ggain, gbias = _layer_norm_vjp(u, xhat, std, gain.data)
+        return (dx, _dropped(dx, keep, rate), ggain, gbias)
 
-    return _make(data, (a,), vjp)
+    return _make(data, (x, y, gain, bias), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
+              keep: np.ndarray | None, rate: float, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``, ``k`` and ``v`` are (B*T, h) projections, example ``b``'s
+    position ``i`` at row ``b * T + i``; ``mask_bias`` is (B, 1, T, T),
+    added to every head's scores (0 where a row may attend, ``MASK_BIAS``
+    where not). The probabilities go through dropout under ``keep``, (B,
+    heads, T, T) or None, and the context comes back with its heads merged,
+    (B*T, h). Heads work on (B, heads, T, h / heads) views; the array
+    operations are those of the separate reshape, transpose, matmul,
+    scale, add, softmax and dropout ops, in their order, so the bits match.
+    Non-finite scores raise ``NumericError``.
+    """
+    size, _, width, _ = mask_bias.shape
+    rows, hidden = q.data.shape
+    head = hidden // heads
+    if rows != size * width or hidden != head * heads or not (
+            q.data.shape == k.data.shape == v.data.shape):
+        raise ContractError(
+            f"attention over {q.data.shape}, {k.data.shape}, {v.data.shape} projections "
+            f"does not fit a {mask_bias.shape} mask and {heads} heads"
+        )
+    _check_keep(keep, (size, heads, width, width), rate)
+    scale = 1.0 / math.sqrt(head)
+    q4, k4, v4 = (np.transpose(t.data.reshape(size, width, heads, head), (0, 2, 1, 3))
+                  for t in (q, k, v))
+    scores = q4 @ np.transpose(k4, (0, 1, 3, 2))
+    scores *= scale
+    scores += mask_bias
+    _require_finite(scores, "attention")
+    probs = softmax_values(scores)
+    dropped = _dropped(probs, keep, rate)
+
+    def merge_heads(m: np.ndarray) -> np.ndarray:
+        return np.transpose(m, (0, 2, 1, 3)).reshape(rows, hidden)
+
+    def vjp(u):
+        g = np.transpose(u.reshape(size, width, heads, head), (0, 2, 1, 3))
+        gv = np.swapaxes(dropped, -1, -2) @ g
+        gscores = _softmax_vjp(_dropped(g @ np.swapaxes(v4, -1, -2), keep, rate), probs)
+        gscores *= scale
+        gq = gscores @ k4
+        gk = np.swapaxes(q4, -1, -2) @ gscores
+        return (merge_heads(gq), merge_heads(np.swapaxes(gk, -1, -2)), merge_heads(gv))
+
+    return _make(merge_heads(dropped @ v4), (q, k, v), vjp)
 
 
 # -- lookups and gathers ---------------------------------------------------

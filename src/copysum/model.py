@@ -250,18 +250,19 @@ class PrefixLM:
     def _dropout_keeps(self, batch: JointBatch, rng) -> tuple:
         """Boolean keep masks for every dropout site, padded into the batch.
 
-        Each example draws its masks in turn, in forward order and at its
-        own length (embedding ``(t, h)``; then per layer attention
-        probabilities ``(H, t, t)``, attention output and feed-forward
-        ``(t, h)``), so a batch consumes ``rng`` exactly as its examples
-        run one at a time would. Returns ``(embedding, [(probs, attn, ff)
+        Each example's masks follow the previous example's, in forward
+        order and at its own length (embedding ``(t, h)``; then per layer
+        attention probabilities ``(H, t, t)``, attention output and
+        feed-forward ``(t, h)``). All are cut from one ``rng.random`` draw,
+        which consumes ``rng`` exactly as the examples run one at a time,
+        one draw per mask, would. Returns ``(embedding, [(probs, attn, ff)
         per layer])``, all None when dropout is off.
         """
         cfg = self.config
         if rng is None or cfg.dropout <= 0.0:
             return None, [(None, None, None)] * cfg.num_layers
         size, width = batch.ids.shape
-        h, n_heads, rate = cfg.hidden_size, cfg.num_heads, cfg.dropout
+        h, n_heads, n_layers = cfg.hidden_size, cfg.num_heads, cfg.num_layers
         emb = np.zeros((size, width, h), dtype=bool)
         layers = [
             (
@@ -269,37 +270,21 @@ class PrefixLM:
                 np.zeros((size, width, h), dtype=bool),
                 np.zeros((size, width, h), dtype=bool),
             )
-            for _ in range(cfg.num_layers)
+            for _ in range(n_layers)
         ]
-        for b, t in enumerate(batch.lengths):
-            emb[b, :t] = rng.random((t, h)) >= rate
-            for probs, attn, ff in layers:
-                probs[b, :, :t, :t] = rng.random((n_heads, t, t)) >= rate
-                attn[b, :t] = rng.random((t, h)) >= rate
-                ff[b, :t] = rng.random((t, h)) >= rate
+        lengths = batch.lengths
+        total = ((1 + 2 * n_layers) * h * lengths + n_layers * n_heads * lengths**2).sum()
+        kept = rng.random(int(total)) >= cfg.dropout
+        start = 0
+        for b, t in enumerate(lengths):
+            for mask in (emb, *(m for layer in layers for m in layer)):
+                site = mask[b, ..., :t, :t] if mask.ndim == 4 else mask[b, :t]
+                site[...] = kept[start : start + site.size].reshape(site.shape)
+                start += site.size
         rows = (size * width, h)
         return emb.reshape(rows), [
             (probs, attn.reshape(rows), ff.reshape(rows)) for probs, attn, ff in layers
         ]
-
-    def _attention(self, x: Tensor, mask_bias: Tensor, layer: dict, keep) -> Tensor:
-        """Self-attention context of (B*T, h) rows, heads merged, before the
-        output projection; heads work on (B, H, T, d)."""
-        cfg = self.config
-        n_heads = cfg.num_heads
-        head = cfg.hidden_size // n_heads
-        size, _, width, _ = mask_bias.shape
-
-        def project(m: Tensor, name: str) -> Tensor:
-            return ad.matmul(m, layer[f"attn_{name}_weight"], layer[f"attn_{name}_bias"])
-
-        def split_heads(m: Tensor) -> Tensor:
-            return ad.transpose(ad.reshape(m, (size, width, n_heads, head)), (0, 2, 1, 3))
-
-        q, k, v = (split_heads(project(x, name)) for name in ("q", "k", "v"))
-        scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(head))
-        probs = ad.dropout(ad.softmax(scores + mask_bias), keep, cfg.dropout)
-        return ad.reshape(ad.transpose(probs @ v, (0, 2, 1, 3)), (size * width, cfg.hidden_size))
 
     def forward(self, seq: "JointSequence | JointBatch", mask: np.ndarray, rng=None,
                 rows=None) -> Tensor:
@@ -321,25 +306,27 @@ class PrefixLM:
         expected = (width, width) if isinstance(seq, JointSequence) else (size, width, width)
         if mask.shape != expected:
             raise ContractError(f"mask shape {mask.shape} does not match {expected}")
-        rate = self.config.dropout
+        cfg = self.config
+        rate = cfg.dropout
         # 0 where allowed, -1e9 where not; one row of keys per example,
         # broadcast over the heads; one constant shared by every layer
-        mask_bias = Tensor(((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width))
+        mask_bias = ((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width)
         keep_emb, keep_layers = self._dropout_keeps(batch, rng)
         x = ad.layer_norm(self.embed(batch), *self.emb_ln)
         x = ad.dropout(x, keep_emb, rate)
         last = self.layers[-1]
         for w, (keep_probs, keep_attn, keep_ff) in zip(self.layers, keep_layers):
-            ctx = self._attention(x, mask_bias, w, keep_probs)
+            q, k, v = (ad.matmul(x, w[f"attn_{n}_weight"], w[f"attn_{n}_bias"]) for n in "qkv")
+            ctx = ad.attention(q, k, v, mask_bias, keep_probs, rate, cfg.num_heads)
             if rows is not None and w is last:
                 x, ctx = ad.take_rows(x, rows), ad.take_rows(ctx, rows)
-                keep_attn, keep_ff = (None if k is None else k[rows] for k in (keep_attn, keep_ff))
+                keep_attn, keep_ff = (None if m is None else m[rows] for m in (keep_attn, keep_ff))
             attn = ad.matmul(ctx, w["attn_out_weight"], w["attn_out_bias"])
-            x = ad.layer_norm(x + ad.dropout(attn, keep_attn, rate),
-                              w["attn_ln_gain"], w["attn_ln_bias"])
+            x = ad.residual_layer_norm(x, attn, keep_attn, rate, w["attn_ln_gain"],
+                                       w["attn_ln_bias"])
             ff = ad.gelu(ad.matmul(x, w["ff_in_weight"], w["ff_in_bias"]))
             ff = ad.matmul(ff, w["ff_out_weight"], w["ff_out_bias"])
-            x = ad.layer_norm(x + ad.dropout(ff, keep_ff, rate), w["ff_ln_gain"], w["ff_ln_bias"])
+            x = ad.residual_layer_norm(x, ff, keep_ff, rate, w["ff_ln_gain"], w["ff_ln_bias"])
         return x
 
     def predict_logits(self, states: Tensor) -> Tensor:

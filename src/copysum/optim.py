@@ -22,7 +22,7 @@ EPS = 1e-8
 
 class AdamW:
     def __init__(self, params: list[Parameter], lr: float = 1e-3, weight_decay: float = 0.01):
-        if lr < 0.0 or weight_decay < 0.0:
+        if not (lr >= 0.0 and weight_decay >= 0.0):  # NaN fails both
             raise ContractError("lr and weight_decay must be >= 0")
         self.params = list(params)
         self.lr = lr

@@ -6,6 +6,7 @@ summed loss and gradients, the same states for every real row, the same
 dropout draws, and a graph whose size does not grow with ``B``.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from copysum import autodiff as ad
 from copysum.bpe import train_bpe
-from copysum.model import ModelConfig, PrefixLM, build_attention_mask
+from copysum.errors import NumericError
+from copysum.model import MASK_BIAS, ModelConfig, PrefixLM, build_attention_mask
 from copysum.optim import AdamW
 from copysum.seeding import named_rng
 from copysum.training import (
@@ -31,8 +33,9 @@ from copysum.training import (
 LEXICON = ["bad", "keg", "lim", "fad", "gem", "kid", "mab", "del", "bag", "dim"]
 # Graph nodes (leaves included) reachable from one batch's summed loss for
 # the `desk` model with dropout; one example's graph had 120 before
-# batching, and sixteen examples' had 1380.
-DESK_BATCH_GRAPH_NODES = 108
+# batching, and sixteen examples' had 1380; the batch graph had 108 before
+# each attention sublayer and each residual layer norm became one node.
+DESK_BATCH_GRAPH_NODES = 69
 # Rows each layer's feed-forward GELU gets for that batch of 16 (B*T = 368,
 # 90 selected positions); every layer ran all 368 before the last layer ran
 # the selected rows only.
@@ -121,6 +124,15 @@ def test_batched_loss_and_grads_equal_sum_of_single_examples(corpus):
         assert np.max(np.abs(p.grad - single_grads[name])) <= 1e-10, name
     # the batch drew its dropout masks exactly as the examples did in turn
     assert batch_rng.random() == single_rng.random()
+
+
+def test_a_nan_weight_is_a_numeric_error_from_the_attention_node(corpus):
+    vocab, examples = corpus
+    batch, corrupted, record = collate(_corrupted(vocab, examples, seed=8))
+    model = _model(vocab)
+    model.params["layer0.attn_k_weight"].data[0, 0] = np.nan
+    with pytest.raises(NumericError, match="attention"):
+        compute_loss(model, batch, corrupted, record, rng=np.random.default_rng(0))
 
 
 def test_padding_changes_no_real_row(corpus):
@@ -257,3 +269,93 @@ def test_desk_batch_graph_size_does_not_grow_with_batch():
     }
     assert len(set(counts.values())) == 1, counts
     assert counts[16] <= DESK_BATCH_GRAPH_NODES
+
+
+def _reference_keeps(model, batch, rng):
+    """Dropout masks drawn one example at a time, one ``rng.random`` call per
+    site, in forward order: embedding, then per layer probabilities,
+    attention output and feed-forward."""
+    cfg = model.config
+    if rng is None or cfg.dropout <= 0.0:
+        return None, [(None, None, None)] * cfg.num_layers
+    size, width = batch.ids.shape
+    h, n_heads, rate = cfg.hidden_size, cfg.num_heads, cfg.dropout
+    emb = np.zeros((size, width, h), dtype=bool)
+    layers = [(np.zeros((size, n_heads, width, width), dtype=bool),
+               np.zeros((size, width, h), dtype=bool), np.zeros((size, width, h), dtype=bool))
+              for _ in range(cfg.num_layers)]
+    for b, t in enumerate(batch.lengths):
+        emb[b, :t] = rng.random((t, h)) >= rate
+        for probs, attn, ff in layers:
+            probs[b, :, :t, :t] = rng.random((n_heads, t, t)) >= rate
+            attn[b, :t] = rng.random((t, h)) >= rate
+            ff[b, :t] = rng.random((t, h)) >= rate
+    rows = (size * width, h)
+    return emb.reshape(rows), [(p, a.reshape(rows), f.reshape(rows)) for p, a, f in layers]
+
+
+def _reference_forward(model, batch, mask, rng=None, rows=None):
+    """``PrefixLM.forward`` one graph op at a time: heads split by reshape and
+    transpose, ``softmax``, ``dropout``, and ``layer_norm(x + dropout(y))``."""
+    cfg = model.config
+    size, width = batch.ids.shape
+    n_heads, rate = cfg.num_heads, cfg.dropout
+    head = cfg.hidden_size // n_heads
+    mask_bias = ad.Tensor(((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width))
+
+    def split_heads(m):
+        return ad.transpose(ad.reshape(m, (size, width, n_heads, head)), (0, 2, 1, 3))
+
+    keep_emb, keep_layers = _reference_keeps(model, batch, rng)
+    x = ad.dropout(ad.layer_norm(model.embed(batch), *model.emb_ln), keep_emb, rate)
+    for w, (keep_probs, keep_attn, keep_ff) in zip(model.layers, keep_layers):
+        q, k, v = (split_heads(ad.matmul(x, w[f"attn_{n}_weight"], w[f"attn_{n}_bias"]))
+                   for n in "qkv")
+        scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(head))
+        probs = ad.dropout(ad.softmax(scores + mask_bias), keep_probs, rate)
+        ctx = ad.reshape(ad.transpose(probs @ v, (0, 2, 1, 3)), (size * width, cfg.hidden_size))
+        if rows is not None and w is model.layers[-1]:
+            x, ctx = ad.take_rows(x, rows), ad.take_rows(ctx, rows)
+            keep_attn, keep_ff = (None if m is None else m[rows] for m in (keep_attn, keep_ff))
+        attn = ad.matmul(ctx, w["attn_out_weight"], w["attn_out_bias"])
+        x = ad.layer_norm(x + ad.dropout(attn, keep_attn, rate),
+                          w["attn_ln_gain"], w["attn_ln_bias"])
+        ff = ad.gelu(ad.matmul(x, w["ff_in_weight"], w["ff_in_bias"]))
+        ff = ad.matmul(ff, w["ff_out_weight"], w["ff_out_bias"])
+        x = ad.layer_norm(x + ad.dropout(ff, keep_ff, rate), w["ff_ln_gain"], w["ff_ln_bias"])
+    return x
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("use_rows", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+def test_forward_equals_the_unfused_reference_bit_for_bit(preset, dropout, use_rows, seed):
+    """States, loss, every gradient and the dropout generator's end state are
+    equal (``==``) to ``_reference_forward``'s on a random ragged batch."""
+    pick = np.random.default_rng([seed, int(dropout * 10), int(use_rows), int(preset == "desk")])
+    vocab, examples = _examples(int(pick.integers(6, 15)), seed=int(pick.integers(1000)))
+    items = _corrupted(vocab, examples, seed=int(pick.integers(1000)))
+    items = [items[i] for i in pick.permutation(len(items))[: int(pick.integers(1, 9))]]
+    batch, corrupted, record = collate(items)
+    inputs = replace(batch, ids=corrupted)
+    model = _model(vocab, dropout=dropout, preset=preset, seed=seed)
+    rows = record.positions if use_rows else None
+
+    results = []
+    for forward in (model.forward, lambda *args, **kw: _reference_forward(model, *args, **kw)):
+        rng = np.random.default_rng(200 + seed)
+        model.zero_grad()
+        states = forward(inputs, inputs.attention_mask(), rng=rng, rows=rows)
+        picked = states if use_rows else ad.take_rows(states, record.positions)
+        loss = ad.cross_entropy_from_logits(model.predict_logits(picked), record.original_ids)
+        loss.backward()
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
+        results.append((states.data, loss.item(), grads, rng.bit_generator.state))
+
+    (states, loss, grads, state), (ref_states, ref_loss, ref_grads, ref_state) = results
+    assert np.array_equal(states, ref_states)
+    assert loss == ref_loss
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+    assert state == ref_state

@@ -71,6 +71,13 @@ def test_zero_lr_keeps_parameters_fixed():
     np.testing.assert_allclose(p.data, [1.0, -1.0], atol=0)
 
 
+@pytest.mark.parametrize("lr, weight_decay", [(float("nan"), 0.01), (1e-3, float("nan")),
+                                               (-1e-3, 0.01), (1e-3, -0.01)])
+def test_negative_or_nan_lr_and_weight_decay_rejected(lr, weight_decay):
+    with pytest.raises(ContractError):
+        AdamW([Parameter([1.0], name="w")], lr=lr, weight_decay=weight_decay)
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.02])
 def test_steps_equal_the_textbook_formula_bit_for_bit(weight_decay):
     rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
 """Property tests: cut or bit-flipped files fail by contract, BPE round-trips
-text, gradients of random graphs match finite differences, both searches
-keep their pool invariants, and padded batches keep the prefix mask rule."""
+text, gradients of random graphs and of the attention and residual
+layer-norm nodes match finite differences, both searches keep their pool
+invariants, and padded batches keep the prefix mask rule."""
 
 import contextlib
 import math
@@ -127,6 +128,74 @@ def test_random_graph_gradients_match_finite_differences(seed, steps):
         return ad.tensor_sum(nodes[-1])
 
     assert_grads_close(params, loss_fn)
+
+
+# Bias on forbidden attention edges in the finite-difference checks.
+# MASK_BIAS (-1e9) would do as well for the op, but float64 spacing at 1e9
+# is 1.2e-7, too coarse for a finite difference to resolve the scores.
+MASKED = -30.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    heads=st.integers(1, 2),
+    head=st.integers(1, 3),
+    dropped=st.booleans(),
+    data=st.data(),
+)
+def test_attention_gradients_match_finite_differences(seed, lengths, heads, head, dropped,
+                                                      data):
+    """Padded prefix masks with a pad row in every example, whose mask row
+    is all zero, with a dropout mask and without; a dropout mask of the
+    wrong shape is a contract error."""
+    rng = np.random.default_rng(seed)
+    width = max(lengths) + 1
+    batch = JointBatch(np.zeros((len(lengths), width), dtype=np.int64),
+                       np.array([data.draw(st.integers(1, n)) for n in lengths]),
+                       np.array(lengths))
+    mask = batch.attention_mask()
+    assert not mask[:, -1].any()  # every example's last row is a pad row
+    mask_bias = ((1.0 - mask) * MASKED)[:, None]
+    shape = (len(lengths) * width, heads * head)
+    q, k, v = (Parameter(rng.normal(size=shape), name=n) for n in "qkv")
+    keep = rng.random((len(lengths), heads, width, width)) >= 0.25 if dropped else None
+    upstream = rng.normal(size=shape)
+
+    def loss_fn():
+        return ad.tensor_sum(ad.attention(q, k, v, mask_bias, keep, 0.25, heads) * upstream)
+
+    assert_grads_close([q, k, v], loss_fn)
+    with pytest.raises(ContractError):
+        ad.attention(q, k, v, mask_bias, np.ones(mask_bias.size * heads, dtype=bool), 0.25,
+                     heads)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+    hidden=st.integers(2, 6),
+    dropped=st.booleans(),
+)
+def test_residual_layer_norm_gradients_match_finite_differences(seed, rows, hidden, dropped):
+    """With a dropout mask and without; a dropout mask of the wrong shape is
+    a contract error."""
+    rng = np.random.default_rng(seed)
+    x, y = (Parameter(rng.normal(size=(rows, hidden)), name=n) for n in "xy")
+    gain, bias = (Parameter(rng.normal(1.0, 0.5, size=hidden), name=n)
+                  for n in ("gain", "bias"))
+    keep = rng.random((rows, hidden)) >= 0.25 if dropped else None
+    upstream = rng.normal(size=(rows, hidden))
+
+    def loss_fn():
+        out = ad.residual_layer_norm(x, y, keep, 0.25, gain, bias)
+        return ad.tensor_sum(out * upstream)
+
+    assert_grads_close([x, y, gain, bias], loss_fn)
+    with pytest.raises(ContractError):
+        ad.residual_layer_norm(x, y, np.ones(rows * hidden, dtype=bool), 0.25, gain, bias)
 
 
 @settings(deadline=None, max_examples=200)
