@@ -229,17 +229,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    data = np.asarray(a.data.mean())
-    shape = a.data.shape
-
-    def vjp(u):
-        return (np.broadcast_to(u / n, shape).copy(),)
-
-    return _make(data, (a,), vjp)
-
-
 # -- nonlinearities and normalization -------------------------------------
 # Each op's forward is a plain-array kernel (``*_values``); the graph ops
 # wrap them, and the graph-free decode scorer calls them directly.
@@ -283,7 +272,8 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _require_finite(x: np.ndarray, op: str) -> None:
-    if not np.isfinite(x).all():
+    # count_nonzero costs less than .all() on the few scores a decode step checks
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NumericError(f"{op} input contains non-finite values")
 
 
@@ -417,19 +407,46 @@ def residual_layer_norm(x: Tensor, y: Tensor, keep: np.ndarray | None, rate: flo
     return _make(data, (x, y, gain, bias), vjp)
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, T, h) rows as (B, heads, T, h / heads) views, one per head."""
+    size, width, hidden = x.shape
+    return x.reshape(size, width, heads, hidden // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(m: np.ndarray) -> np.ndarray:
+    """``_split_heads`` undone, with the prompts' rows stacked: (B * T, h)."""
+    size, heads, width, head = m.shape
+    return m.transpose(0, 2, 1, 3).reshape(size * width, heads * head)
+
+
+def attention_values(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray,
+                     heads: int, keep: np.ndarray | None = None, rate: float = 0.0):
+    """Multi-head scaled dot-product attention, ``(context, probs, dropped)``.
+
+    ``q`` is (B, Tq, h), ``k`` and ``v`` (B, Tk, h), Tq <= Tk; ``bias``
+    (0 where a row may attend, ``MASK_BIAS`` where not) broadcasts against
+    the (B, heads, Tq, Tk) scores, and ``keep``, of their shape or None,
+    drops probabilities. The context has its heads merged, (B * Tq, h).
+    Non-finite scores raise ``NumericError``.
+    """
+    q4, k4, v4 = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
+    scores = q4 @ k4.transpose(0, 1, 3, 2)
+    scores *= 1.0 / math.sqrt(q4.shape[-1])
+    scores += bias
+    _require_finite(scores, "attention")
+    probs = softmax_values(scores)
+    dropped = _dropped(probs, keep, rate)
+    return _merge_heads(dropped @ v4), probs, dropped
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
               keep: np.ndarray | None, rate: float, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+    """``attention_values`` as one graph node over (B*T, h) projections.
 
-    ``q``, ``k`` and ``v`` are (B*T, h) projections, example ``b``'s
-    position ``i`` at row ``b * T + i``; ``mask_bias`` is (B, 1, T, T),
-    added to every head's scores (0 where a row may attend, ``MASK_BIAS``
-    where not). The probabilities go through dropout under ``keep``, (B,
-    heads, T, T) or None, and the context comes back with its heads merged,
-    (B*T, h). Heads work on (B, heads, T, h / heads) views; the array
-    operations are those of the separate reshape, transpose, matmul,
-    scale, add, softmax and dropout ops, in their order, so the bits match.
-    Non-finite scores raise ``NumericError``.
+    ``q``, ``k`` and ``v`` hold example ``b``'s position ``i`` at row
+    ``b * T + i``; ``mask_bias`` is (B, 1, T, T). The backward pass runs
+    the array operations of the separate reshape, transpose, matmul, scale,
+    add, softmax and dropout ops, in their order, so the bits match.
     """
     size, _, width, _ = mask_bias.shape
     rows, hidden = q.data.shape
@@ -441,29 +458,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
             f"does not fit a {mask_bias.shape} mask and {heads} heads"
         )
     _check_keep(keep, (size, heads, width, width), rate)
-    scale = 1.0 / math.sqrt(head)
-    q4, k4, v4 = (np.transpose(t.data.reshape(size, width, heads, head), (0, 2, 1, 3))
-                  for t in (q, k, v))
-    scores = q4 @ np.transpose(k4, (0, 1, 3, 2))
-    scores *= scale
-    scores += mask_bias
-    _require_finite(scores, "attention")
-    probs = softmax_values(scores)
-    dropped = _dropped(probs, keep, rate)
-
-    def merge_heads(m: np.ndarray) -> np.ndarray:
-        return np.transpose(m, (0, 2, 1, 3)).reshape(rows, hidden)
+    q3, k3, v3 = (t.data.reshape(size, width, hidden) for t in (q, k, v))
+    data, probs, dropped = attention_values(q3, k3, v3, mask_bias, heads, keep, rate)
 
     def vjp(u):
-        g = np.transpose(u.reshape(size, width, heads, head), (0, 2, 1, 3))
+        q4, k4, v4, g = (_split_heads(t, heads) for t in (q3, k3, v3, u.reshape(q3.shape)))
         gv = np.swapaxes(dropped, -1, -2) @ g
         gscores = _softmax_vjp(_dropped(g @ np.swapaxes(v4, -1, -2), keep, rate), probs)
-        gscores *= scale
+        gscores *= 1.0 / math.sqrt(head)
         gq = gscores @ k4
         gk = np.swapaxes(q4, -1, -2) @ gscores
-        return (merge_heads(gq), merge_heads(np.swapaxes(gk, -1, -2)), merge_heads(gv))
+        return (_merge_heads(gq), _merge_heads(np.swapaxes(gk, -1, -2)), _merge_heads(gv))
 
-    return _make(merge_heads(dropped @ v4), (q, k, v), vjp)
+    return _make(data, (q, k, v), vjp)
 
 
 # -- lookups and gathers ---------------------------------------------------

@@ -317,6 +317,11 @@ def cmd_decode(opts) -> int:
     )
     vocab = Vocabulary.load(opts.vocab)
     model = PrefixLM.load(opts.checkpoint)
+    if model.config.vocab_size != len(vocab):
+        raise ContractError(
+            f"{opts.checkpoint} has a vocabulary of {model.config.vocab_size} tokens, "
+            f"but {opts.vocab} has {len(vocab)}"
+        )
     records, _ = ingest(opts.input, "pairs")
     search_config = _search_config(vocab, opts, answer_pool_size=opts.pool_size)
     rows = _decode_all(model, vocab, records, opts.search, search_config, rerank_config,

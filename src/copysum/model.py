@@ -7,13 +7,12 @@ out the parameters, and decides whether the output projection shares
 storage with the token embedding (structural tying, not a copy).
 ``PromptCache`` runs the same stack for decoding without an autodiff graph,
 scoring each summary prefix of a record once and keeping its keys, values
-and log-probabilities; its layer norm, GELU and softmax are autodiff's own
-plain-array kernels, the ones the graph ops of ``forward`` wrap.
+and log-probabilities; its attention, layer norm and GELU are autodiff's
+own plain-array kernels, the ones the graph ops of ``forward`` wrap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -487,43 +486,34 @@ class PromptCache:
         fills in. ``x`` holds the ``(n * r, h)`` new rows, prompt by prompt;
         each prompt's last new row is its ``[MASK]``. A new row attends to
         its prompt's stored rows and new rows, except that no other row sees
-        ``[MASK]``. Returns the ``[MASK]`` rows' log-softmax of the
-        vocabulary logits, ``(n, V)``, read-only.
+        ``[MASK]`` (a ``MASK_BIAS`` for ``attention_values``). Returns the
+        ``[MASK]`` rows' log-softmax of the vocabulary logits, ``(n, V)``,
+        read-only.
         """
         n, length, n_layers, width = kv.shape
         hidden = width // 2
-        heads = self._heads
-        size = hidden // heads
         rows = len(x) // n
         past = length - rows
         self.rows += len(x)
-        scale = 1.0 / math.sqrt(size)
-        # (prompt, row, layer, keys or values, head, d)
-        heads_kv = kv.reshape(n, length, n_layers, 2, heads, size)
+        bias = np.zeros((rows, length))
+        bias[:-1, -1] = MASK_BIAS  # no row but [MASK] itself sees [MASK]
         for i, (qkv_w, qkv_b, out_w, out_b, attn_gain, attn_bias, in_w, in_b, ff_w, ff_b,
                 ff_gain, ff_bias) in enumerate(self._layers):
             qkv = x @ qkv_w
             qkv += qkv_b
             kv[:, past:, i] = qkv[:, hidden:].reshape(n, rows, width)
             if i == n_layers - 1:  # past here only each prompt's [MASK] row is read
-                x, qkv, rows = x[rows - 1 :: rows], qkv[rows - 1 :: rows], 1
-            q = qkv[:, :hidden].reshape(n, rows, heads, size).transpose(0, 2, 1, 3)
-            scores = q @ heads_kv[:, :, i, 0].transpose(0, 2, 3, 1)
-            scores *= scale
-            if rows > 1:  # no row but [MASK] itself sees [MASK]
-                scores[:, :, :-1, -1] += MASK_BIAS
-            probs = ad.softmax_values(scores)
-            ctx = probs @ heads_kv[:, :, i, 1].transpose(0, 2, 1, 3)
-            attn = ctx.transpose(0, 2, 1, 3).reshape(len(x), hidden) @ out_w
+                x, qkv, bias = x[rows - 1 :: rows], qkv[rows - 1 :: rows], bias[-1:]
+            attn = ad.attention_values(qkv[:, :hidden].reshape(n, -1, hidden),
+                                       kv[:, :, i, :hidden], kv[:, :, i, hidden:], bias,
+                                       self._heads)[0] @ out_w
             attn += out_b
-            attn += x
-            x = ad.layer_norm_values(attn, attn_gain, attn_bias)[0]
+            x = ad.layer_norm_values(x + attn, attn_gain, attn_bias)[0]
             ff = x @ in_w
             ff += in_b
             ff = ad.gelu_values(ff)[0] @ ff_w
             ff += ff_b
-            ff += x
-            x = ad.layer_norm_values(ff, ff_gain, ff_bias)[0]
+            x = ad.layer_norm_values(x + ff, ff_gain, ff_bias)[0]
         log_probs = log_softmax_values(x @ self._out.T)
         log_probs.setflags(write=False)
         return log_probs

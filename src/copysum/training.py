@@ -242,8 +242,9 @@ class TrainReport:
 
     ``skipped_examples`` counts training examples that selected no position,
     over all epochs; ``valid_skipped`` counts those of the validation draw,
-    which is the same every epoch. ``truncated`` counts the training and
-    validation examples whose source lost its tail to fit.
+    which is the same every epoch; a draw that selected no position logs
+    no ``valid`` rows and never halves the lr. ``truncated`` counts the
+    training and validation examples whose source lost its tail to fit.
     """
 
     records: list[dict] = field(default_factory=list)
@@ -347,9 +348,9 @@ def train(
             epoch=epoch, split="train", loss_mean=round(train_mean, 6),
             loss_sum=round(epoch_total, 6), lr=optimizer.lr,
         )
-        if valid_seqs:
+        if valid_batches:  # a draw that selected nothing has no loss to compare
             val_sum = sum(compute_loss(model, *b, reduction="sum").item() for b in valid_batches)
-            val_mean = val_sum / max(sum(len(b[2].positions) for b in valid_batches), 1)
+            val_mean = val_sum / sum(len(b[2].positions) for b in valid_batches)
             report.log(
                 epoch=epoch, split="valid", loss_mean=round(val_mean, 6),
                 loss_sum=round(val_sum, 6), lr=optimizer.lr,

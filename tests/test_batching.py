@@ -14,6 +14,7 @@ import pytest
 
 from copysum import autodiff as ad
 from copysum.bpe import train_bpe
+from copysum.decoding import make_model_scorer
 from copysum.errors import NumericError
 from copysum.model import MASK_BIAS, ModelConfig, PrefixLM, build_attention_mask
 from copysum.optim import AdamW
@@ -133,6 +134,8 @@ def test_a_nan_weight_is_a_numeric_error_from_the_attention_node(corpus):
     model.params["layer0.attn_k_weight"].data[0, 0] = np.nan
     with pytest.raises(NumericError, match="attention"):
         compute_loss(model, batch, corrupted, record, rng=np.random.default_rng(0))
+    with pytest.raises(NumericError, match="attention"):  # the decode scorer's kernel too
+        make_model_scorer(model, vocab, examples[0].source_ids)
 
 
 def test_padding_changes_no_real_row(corpus):
@@ -255,6 +258,31 @@ def test_last_layer_runs_only_the_selected_rows(monkeypatch):
     monkeypatch.setattr(ad, "gelu", counted)
     compute_loss(model, batch, corrupted, record, rng=np.random.default_rng(0))
     assert gelu_rows == [batch.ids.size, len(record.positions)] == DESK_BATCH_GELU_ROWS
+
+
+def test_training_and_decoding_share_one_attention_kernel(monkeypatch):
+    """Scaling ``attention_values``'s context moves a desk batch's loss and a
+    decode scorer row both: neither path has an attention of its own."""
+    vocab, examples = _examples(40, seed=5)
+    batch, corrupted, record = collate(_corrupted(vocab, examples, seed=2)[:16])
+    model = _model(vocab, preset="desk")
+
+    def run():
+        loss = compute_loss(model, batch, corrupted, record, rng=np.random.default_rng(0))
+        scorer = make_model_scorer(model, vocab, examples[0].source_ids)
+        return loss.item(), scorer((int(examples[0].summary_ids[0]),))
+
+    before = run()
+    kernel = ad.attention_values
+
+    def scaled(*args, **kwargs):
+        context, probs, dropped = kernel(*args, **kwargs)
+        return context * 1.0000001, probs, dropped
+
+    monkeypatch.setattr(ad, "attention_values", scaled)
+    after = run()
+    assert after[0] != before[0]
+    assert not np.array_equal(after[1], before[1])
 
 
 def test_desk_batch_graph_size_does_not_grow_with_batch():

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from copysum.bpe import train_bpe
+from copysum.bpe import Vocabulary, train_bpe
 from copysum.cli import _merge_options, build_parser, main
 from copysum.data import SynthConfig, synth_generate, write_pairs
+from copysum.model import ModelConfig, PrefixLM
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +495,20 @@ class TestBadInputFiles:
         rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")
+
+    @pytest.mark.parametrize("extra", [4, -4])
+    def test_vocab_of_another_size_than_the_checkpoint(self, tmp_path, capsys, extra):
+        """Refused before decoding, naming both files and both sizes."""
+        vocab = Vocabulary.load(FIXTURES / "vocab.txt")
+        ckpt = tmp_path / "other.bin"
+        size = len(vocab) + extra
+        PrefixLM(ModelConfig.preset("tiny", vocab_size=size, max_positions=160)).save(ckpt)
+        rc, err = self.decode(tmp_path, capsys, ckpt, FIXTURES / "vocab.txt")
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {ckpt} ")
+        assert str(FIXTURES / "vocab.txt") in err
+        assert f" {size} " in err and err.endswith(f" {len(vocab)}\n")
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestUnreadableTextInputs:

@@ -6,6 +6,7 @@ through ``PrefixLM.forward`` on every call. It is the oracle here, for
 log-probabilities and for whole decoded rows.
 """
 
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -303,6 +304,23 @@ def assert_rows_match_oracle(setup, records):
 
 def test_fixture_rows_match_oracle(fixture_decode):
     assert_rows_match_oracle(fixture_decode, fixture_decode[2][:20])
+
+
+# sha256 of the JSON of the rows decoded from the 200 fixture records, first
+# 16 hex digits: the rows a change to the model or the searches must keep
+FIXTURE200_ROW_HASHES = {
+    ("beam", "none"): "2368d9def7ebd9c7",
+    ("best-first", "sbwr"): "4443f56dbcb085e9",
+    ("beam", "bp_norm"): "857ea7c1586c7ef7",
+}
+
+
+def test_fixture_rows_are_pinned(fixture_decode):
+    records = fixture_decode[2][:200]
+    for (search, rerank), pin in FIXTURE200_ROW_HASHES.items():
+        rows, _, _ = decode_rows(fixture_decode, records, search, rerank, make_model_scorer)
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == pin, (search, rerank)
 
 
 @pytest.mark.slow

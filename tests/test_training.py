@@ -404,6 +404,18 @@ class TestTrainLoop:
         )
         assert (report.skipped_examples, report.valid_skipped) == (30, 5)
 
+    def test_a_validation_draw_that_selects_nothing_leaves_the_lr_alone(self):
+        """No selected validation position: no ``valid`` rows and no halving."""
+        vocab, examples = _memorization_setup(n=13)
+        model = PrefixLM(ModelConfig.preset("tiny", vocab_size=len(vocab), max_positions=64),
+                         seed=3)
+        sampling = SamplingConfig(p_seen=0.0, p_unseen=0.0, p_source=0.05)
+        config = TrainConfig(epochs=8, batch_size=4, seed=3)
+        report = train(model, examples[:12], examples[12:], sampling, config, vocab)
+        assert report.valid_skipped == 1
+        assert [r["split"] for r in report.records] == ["train"] * config.epochs
+        assert {r["lr"] for r in report.records} == {config.lr}
+
     def test_divergence_aborts_with_diagnostic(self):
         vocab, examples = _memorization_setup(n=4)
         model = PrefixLM(
