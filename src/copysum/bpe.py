@@ -153,7 +153,7 @@ class Vocabulary:
 
         def count_at(i: int, key: str) -> int:
             value = field_at(i, key)
-            if not value.isdigit():
+            if not (value.isascii() and value.isdigit()):  # "²".isdigit() holds; int() refuses it
                 raise ContractError(f"{path}: line {i + 1}: bad {key} count {value!r}")
             return int(value)
 

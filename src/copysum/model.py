@@ -5,10 +5,17 @@ source bidirectionally while summary positions attend causally, which is
 what the binary attention mask encodes. ``PrefixLM.__init__`` alone lays
 out the parameters, and decides whether the output projection shares
 storage with the token embedding (structural tying, not a copy).
-``PromptCache`` runs the same stack for decoding without an autodiff graph,
-scoring each summary prefix of a record once and keeping its keys, values
-and log-probabilities; its attention, layer norm and GELU are autodiff's
-own plain-array kernels, the ones the graph ops of ``forward`` wrap.
+
+``forward`` builds the autodiff graph that training walks back.
+``forward_values`` computes the same bits without a graph, from one plain
+embedding (``embed_values``) and one plain layer loop (``run_layers``);
+validation calls it, and ``PromptCache``, the decode scorer, calls the same
+two with its cache slots, scoring each summary prefix of a record once and
+keeping its keys, values and log-probabilities. Both forwards share one
+embedding rule (``_segments``) and one row rule: the last layer's
+attention covers every row, and only the rows asked for go on past it.
+Their attention, layer norm and GELU are autodiff's plain-array kernels,
+the ones the graph ops wrap.
 """
 
 from __future__ import annotations
@@ -48,9 +55,11 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
-        if min(self.num_layers, self.hidden_size, self.num_heads, self.vocab_size,
-               self.max_positions, self.feed_forward_size) < 1:
-            raise ConfigError("model dimensions must be positive")
+        dims = (self.num_layers, self.hidden_size, self.num_heads, self.vocab_size,
+                self.max_positions, self.feed_forward_size)
+        # a checkpoint's JSON may hold 2.0 or true (a bool is an int) where an int belongs
+        if any(type(d) is not int or d < 1 for d in dims):
+            raise ConfigError(f"model dimensions must be positive integers, got {dims}")
         if self.hidden_size % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by "
@@ -229,22 +238,40 @@ class PrefixLM:
 
     # -- forward pieces ----------------------------------------------------
 
+    def _segments(self, ids: np.ndarray, source_lens, start: int = 0) -> np.ndarray:
+        """The embedding rule shared by ``embed`` and ``embed_values``.
+
+        Row ``b`` of the ``(n, r)`` ``ids`` sits at positions ``start`` to
+        ``start + r - 1``, and its positions from ``source_lens[b]`` on (the
+        summary) are in segment 1; one int serves every row. Checks the ids against the vocabulary
+        and the positions against ``max_positions``; returns the segments.
+        """
+        end, limit = start + ids.shape[1], self.config.max_positions
+        if end > limit:
+            raise ContractError(f"sequence length {end} exceeds max_positions {limit}")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
+            raise ContractError("token id out of vocabulary range")
+        return np.arange(start, end) >= np.asarray(source_lens)[..., None]
+
     def embed(self, seq: "JointSequence | JointBatch") -> Tensor:
         """Sum of token, position, and segment embedding rows, (B*T, h)."""
         batch = JointBatch.of(seq)
         size, width = batch.ids.shape
-        if width > self.config.max_positions:
-            raise ContractError(
-                f"sequence length {width} exceeds max_positions {self.config.max_positions}"
-            )
-        if batch.ids.size and batch.ids.max() >= self.config.vocab_size:
-            raise ContractError("token id out of vocabulary range")
-        positions = np.arange(width)
-        segments = positions >= batch.source_lens[:, None]  # the summary is segment 1
+        segments = self._segments(batch.ids, batch.source_lens)
         tok = ad.embedding(self.tok_emb, batch.ids.reshape(-1))
-        pos = ad.embedding(self.pos_emb, np.tile(positions, size))
+        pos = ad.embedding(self.pos_emb, np.tile(np.arange(width), size))
         seg = ad.embedding(self.seg_emb, segments.reshape(-1))
         return tok + pos + seg
+
+    def embed_values(self, ids: np.ndarray, source_lens, start: int = 0) -> np.ndarray:
+        """``layer_norm(embed(…))`` without a graph, ``(n * r, h)``, for the
+        ``(n, r)`` ``ids`` placed as ``_segments`` says: the same sums in the
+        same order, with the positions' rows added as one slice."""
+        segments = self._segments(ids, source_lens, start)
+        x = self.tok_emb.data.take(ids, axis=0)
+        x += self.pos_emb.data[start : start + ids.shape[1]]
+        x += self.seg_emb.data.take(segments, axis=0)
+        return ad.layer_norm_values(x.reshape(-1, x.shape[-1]), *(p.data for p in self.emb_ln))[0]
 
     def _dropout_keeps(self, batch: JointBatch, rng) -> tuple:
         """Boolean keep masks for every dropout site, padded into the batch.
@@ -285,6 +312,19 @@ class PrefixLM:
             (probs, attn.reshape(rows), ff.reshape(rows)) for probs, attn, ff in layers
         ]
 
+    @staticmethod
+    def _mask_bias(seq: "JointSequence | JointBatch", mask: np.ndarray) -> tuple:
+        """``(batch, bias)``: ``seq`` as a batch, and ``mask`` as the additive
+        attention bias, 0 where allowed and ``MASK_BIAS`` where not, one
+        ``(1, T, T)`` block per example, broadcast over the heads and shared
+        by every layer."""
+        batch = JointBatch.of(seq)
+        size, width = batch.ids.shape
+        expected = (width, width) if isinstance(seq, JointSequence) else (size, width, width)
+        if mask.shape != expected:
+            raise ContractError(f"mask shape {mask.shape} does not match {expected}")
+        return batch, ((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width)
+
     def forward(self, seq: "JointSequence | JointBatch", mask: np.ndarray, rng=None,
                 rows=None) -> Tensor:
         """Contextual states for the positions of ``seq`` under ``mask``.
@@ -300,16 +340,9 @@ class PrefixLM:
         ``[MASK]`` rows. Dropout masks are drawn at full size either way, so
         ``rng`` advances the same.
         """
-        batch = JointBatch.of(seq)
-        size, width = batch.ids.shape
-        expected = (width, width) if isinstance(seq, JointSequence) else (size, width, width)
-        if mask.shape != expected:
-            raise ContractError(f"mask shape {mask.shape} does not match {expected}")
+        batch, mask_bias = self._mask_bias(seq, mask)
         cfg = self.config
         rate = cfg.dropout
-        # 0 where allowed, -1e9 where not; one row of keys per example,
-        # broadcast over the heads; one constant shared by every layer
-        mask_bias = ((1.0 - mask) * MASK_BIAS).reshape(size, 1, width, width)
         keep_emb, keep_layers = self._dropout_keeps(batch, rng)
         x = ad.layer_norm(self.embed(batch), *self.emb_ln)
         x = ad.dropout(x, keep_emb, rate)
@@ -326,6 +359,59 @@ class PrefixLM:
             ff = ad.gelu(ad.matmul(x, w["ff_in_weight"], w["ff_in_bias"]))
             ff = ad.matmul(ff, w["ff_out_weight"], w["ff_out_bias"])
             x = ad.residual_layer_norm(x, ff, keep_ff, rate, w["ff_ln_gain"], w["ff_ln_bias"])
+        return x
+
+    def forward_values(self, seq: "JointSequence | JointBatch", mask: np.ndarray,
+                       rows) -> np.ndarray:
+        """``forward(seq, mask, rows=rows).data``, the same bits, without a
+        graph or dropout: ``embed_values`` and ``run_layers`` over the whole
+        batch, which has no stored rows."""
+        batch, mask_bias = self._mask_bias(seq, mask)
+        kv = np.empty(batch.ids.shape + (self.config.num_layers, 2 * self.config.hidden_size))
+        x = self.embed_values(batch.ids, batch.source_lens)
+        return self.run_layers(self.plain_layers(), x, kv, mask_bias, rows)
+
+    def plain_layers(self) -> list[tuple]:
+        """Per layer, ``run_layers``'s weights: the fused ``(h, 3h)`` q/k/v
+        projection and its bias, then the layer's arrays by name."""
+        return [(np.concatenate([w[f"attn_{n}_weight"].data for n in "qkv"], axis=1),
+                 np.concatenate([w[f"attn_{n}_bias"].data for n in "qkv"]),
+                 {name: p.data for name, p in w.items()}) for w in self.layers]
+
+    def run_layers(self, layers: list[tuple], x: np.ndarray, kv: np.ndarray,
+                   bias: np.ndarray, rows) -> np.ndarray:
+        """The layer stack over plain arrays: ``forward``'s array operations.
+
+        ``x`` holds the normalized embeddings of ``r`` new rows for each of
+        ``n`` examples, ``(n * r, h)``, example by example. ``kv`` is
+        ``(n, length, layers, 2h)``: per example, the keys and values of its
+        stored rows, then one row for each new row, which this fills in,
+        keys before values. ``bias`` broadcasts against the ``(n, heads, r,
+        length)`` attention scores. As in ``forward``, the last layer's
+        attention covers every new row, and only ``rows``, an index into
+        the new rows, go on through the rest of it. ``layers`` is
+        ``plain_layers()``. Returns the states of ``rows``.
+        """
+        n, length, n_layers, width = kv.shape
+        hidden = width // 2
+        new = len(x) // n
+        for i, (qkv_w, qkv_b, w) in enumerate(layers):
+            qkv = x @ qkv_w
+            qkv += qkv_b
+            kv[:, length - new :, i] = qkv[:, hidden:].reshape(n, new, width)
+            ctx = ad.attention_values(qkv[:, :hidden].reshape(n, new, hidden),
+                                      kv[:, :, i, :hidden], kv[:, :, i, hidden:], bias,
+                                      self.config.num_heads)[0]
+            if i == n_layers - 1:
+                x, ctx = x[rows], ctx[rows]
+            attn = ctx @ w["attn_out_weight"]
+            attn += w["attn_out_bias"]
+            x = ad.layer_norm_values(x + attn, w["attn_ln_gain"], w["attn_ln_bias"])[0]
+            ff = x @ w["ff_in_weight"]
+            ff += w["ff_in_bias"]
+            ff = ad.gelu_values(ff)[0] @ w["ff_out_weight"]
+            ff += w["ff_out_bias"]
+            x = ad.layer_norm_values(x + ff, w["ff_ln_gain"], w["ff_ln_bias"])[0]
         return x
 
     def predict_logits(self, states: Tensor) -> Tensor:
@@ -359,12 +445,7 @@ class PrefixLM:
         return model
 
 
-# -- graph-free inference ------------------------------------------------------
-
-# The per-layer weights ``PromptCache._run`` uses after the fused q/k/v projection
-_RUN_WEIGHTS = ("attn_out_weight", "attn_out_bias", "attn_ln_gain", "attn_ln_bias",
-                "ff_in_weight", "ff_in_bias", "ff_out_weight", "ff_out_bias",
-                "ff_ln_gain", "ff_ln_bias")
+# -- cached decode scoring -----------------------------------------------------
 
 
 class PromptCache:
@@ -384,48 +465,32 @@ class PromptCache:
     of its tokens' keys and values, for every layer a ``(1, layers, 2h)``
     array per token, and to its log-probabilities, which a prefix asked for
     again gets back. A pass runs, per new prefix, its last token and
-    ``[MASK]`` (here, the source and ``[MASK]``, for the empty prefix);
-    unscored parents (never, in the searches) are scored first. ``_kv`` has
-    one slot per prompt of a pass: the source's keys and values, written
-    once per slot, then the prefix rows and new rows. Only the ``[MASK]``
-    rows go through the last layer's attention and feed-forward and get
-    logits. ``rows`` counts the rows run.
+    ``[MASK]`` (here, the source and ``[MASK]``, for the empty prefix)
+    through the model's own ``embed_values`` and ``run_layers``; unscored
+    parents (never, in the searches) are scored first. ``_kv`` has one slot
+    per prompt of a pass: the source's keys and values, written once per
+    slot, then the prefix rows and new rows. Only the ``[MASK]`` rows go on
+    past the last layer's attention and get logits. ``rows`` counts the
+    rows run.
     """
 
-    __slots__ = ("rows", "_mask_id", "_limit", "_embed", "_layers", "_heads", "_out",
-                 "_prompt_len", "_kv", "_scored")
+    __slots__ = ("rows", "_model", "_layers", "_mask_id", "_prompt_len", "_kv", "_scored")
 
     def __init__(self, model: PrefixLM, prompt_ids, mask_id: int):
         cfg = model.config
-        ids = np.asarray(prompt_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-            raise ContractError("token id out of vocabulary range")
-        if len(ids) + 1 > cfg.max_positions:
-            raise ContractError(
-                f"prompt of {len(ids) + 1} tokens exceeds max_positions {cfg.max_positions}"
-            )
+        ids = np.append(np.asarray(prompt_ids, dtype=np.int64), mask_id)
+        if len(ids) > cfg.max_positions:
+            raise ContractError(f"prompt of {len(ids)} tokens exceeds max_positions "
+                                f"{cfg.max_positions}")
+        self._model = model
+        self._layers = model.plain_layers()
         self._mask_id = mask_id
-        self._limit = cfg.max_positions
-        self._embed = tuple(t.data for t in (model.tok_emb, model.pos_emb, model.seg_emb,
-                                             *model.emb_ln))
-        self._layers = []
-        for layer in model.layers:
-            w = {name: t.data for name, t in layer.items()}
-            # q, k and v in one (h, 3h) projection, then the weights in _run's order
-            qkv_w = np.concatenate([w[f"attn_{n}_weight"] for n in "qkv"], axis=1)
-            qkv_b = np.concatenate([w[f"attn_{n}_bias"] for n in "qkv"])
-            self._layers.append((qkv_w, qkv_b, *(w[name] for name in _RUN_WEIGHTS)))
-        self._heads = cfg.num_heads
-        self._out = model.out_emb.data
+        self._prompt_len = len(ids) - 1
         self.rows = 0
-        # (slot, row, layer, keys then values): the k and v columns of the
-        # fused projection
-        self._prompt_len = len(ids)
+        # (slot, row, layer, keys then values)
         self._kv = np.empty((1, cfg.max_positions, cfg.num_layers, 2 * cfg.hidden_size))
         # the empty prefix: the source, then [MASK]
-        rows = len(ids) + 1
-        x = self._rows_in(np.append(ids, mask_id), rows, 0)
-        self._scored = {(): ((), self._run(x, self._kv[:, :rows])[0])}
+        self._scored = {(): ((), self._run(ids[None], 0, self._kv[:, : len(ids)])[0])}
 
     def __call__(self, prefixes):
         if isinstance(prefixes, tuple):
@@ -443,15 +508,13 @@ class PromptCache:
         scored = self._scored
         source = self._prompt_len
         length = source + len(prefixes[0]) + 1  # with [MASK]
-        if length > self._limit:
-            raise ContractError(f"prompt of {length} tokens exceeds max_positions {self._limit}")
+        limit = len(self._kv[0])  # max_positions
+        if length > limit:
+            raise ContractError(f"prompt of {length} tokens exceeds max_positions {limit}")
         parents = [prefix[:-1] for prefix in prefixes]
         unscored = [parent for parent in dict.fromkeys(parents) if parent not in scored]
         if unscored:
             self._score(unscored)
-        ids = [i for prefix in prefixes for i in (prefix[-1], self._mask_id)]
-        if min(ids) < 0 or max(ids) >= len(self._embed[0]):
-            raise ContractError("token id out of vocabulary range")
         if len(self._kv) < len(prefixes):
             slots = np.empty((len(prefixes),) + self._kv.shape[1:])
             slots[:, :source] = self._kv[0, :source]
@@ -461,59 +524,26 @@ class PromptCache:
         for j, path in enumerate(paths):
             if path:  # the parent's own rows, after the source's
                 np.concatenate(path, out=kv[j, source : length - 2])
-        log_probs = self._run(self._rows_in(ids, 2, length - 2), kv)
+        ids = np.array([(prefix[-1], self._mask_id) for prefix in prefixes])
+        log_probs = self._run(ids, length - 2, kv)
         for j, (prefix, path) in enumerate(zip(prefixes, paths)):
             scored[prefix] = ((*path, kv[j, -2:-1].copy()), log_probs[j])
 
-    def _rows_in(self, ids, rows: int, position: int) -> np.ndarray:
-        """Normalized embeddings of ``ids``: prompts' ``rows`` new rows, one
-        prompt after another, each prompt's placed from ``position`` on. As in
-        ``embed``, a row in ``prompt_ids`` is in segment 0 and a later row in 1."""
-        tok, pos, seg, gain, bias = self._embed
-        x = tok.take(ids, axis=0)
-        per_prompt = x.reshape(-1, rows, x.shape[1])
-        per_prompt += pos[position : position + rows]
-        split = max(self._prompt_len - position, 0)
-        per_prompt[:, :split] += seg[0]
-        per_prompt[:, split:] += seg[1]
-        return ad.layer_norm_values(x, gain, bias)[0]
+    def _run(self, ids: np.ndarray, start: int, kv: np.ndarray) -> np.ndarray:
+        """The ``[MASK]`` rows' log-softmax of the vocabulary logits, ``(n, V)``,
+        read-only, for ``n`` prompts whose new rows ``ids``, ``(n, r)`` and
+        each ending in ``[MASK]``, sit at positions ``start`` on.
 
-    def _run(self, x: np.ndarray, kv: np.ndarray) -> np.ndarray:
-        """Run the rows ``x`` of n prompts through the stack, writing their keys and values.
-
-        ``kv`` is ``(n, rows attended to, layers, 2h)``: per prompt, its
-        stored rows, then one row for each of its new rows, which this
-        fills in. ``x`` holds the ``(n * r, h)`` new rows, prompt by prompt;
-        each prompt's last new row is its ``[MASK]``. A new row attends to
-        its prompt's stored rows and new rows, except that no other row sees
-        ``[MASK]`` (a ``MASK_BIAS`` for ``attention_values``). Returns the
-        ``[MASK]`` rows' log-softmax of the vocabulary logits, ``(n, V)``,
-        read-only.
+        ``kv`` is ``run_layers``'s: per prompt, its stored rows, then the new
+        rows. A new row attends to its prompt's stored rows and new rows,
+        except that no other row sees ``[MASK]``.
         """
-        n, length, n_layers, width = kv.shape
-        hidden = width // 2
-        rows = len(x) // n
-        past = length - rows
-        self.rows += len(x)
-        bias = np.zeros((rows, length))
+        n, new = ids.shape
+        self.rows += ids.size
+        bias = np.zeros((new, kv.shape[1]))
         bias[:-1, -1] = MASK_BIAS  # no row but [MASK] itself sees [MASK]
-        for i, (qkv_w, qkv_b, out_w, out_b, attn_gain, attn_bias, in_w, in_b, ff_w, ff_b,
-                ff_gain, ff_bias) in enumerate(self._layers):
-            qkv = x @ qkv_w
-            qkv += qkv_b
-            kv[:, past:, i] = qkv[:, hidden:].reshape(n, rows, width)
-            if i == n_layers - 1:  # past here only each prompt's [MASK] row is read
-                x, qkv, bias = x[rows - 1 :: rows], qkv[rows - 1 :: rows], bias[-1:]
-            attn = ad.attention_values(qkv[:, :hidden].reshape(n, -1, hidden),
-                                       kv[:, :, i, :hidden], kv[:, :, i, hidden:], bias,
-                                       self._heads)[0] @ out_w
-            attn += out_b
-            x = ad.layer_norm_values(x + attn, attn_gain, attn_bias)[0]
-            ff = x @ in_w
-            ff += in_b
-            ff = ad.gelu_values(ff)[0] @ ff_w
-            ff += ff_b
-            x = ad.layer_norm_values(x + ff, ff_gain, ff_bias)[0]
-        log_probs = log_softmax_values(x @ self._out.T)
+        x = self._model.embed_values(ids, self._prompt_len, start)
+        x = self._model.run_layers(self._layers, x, kv, bias, slice(new - 1, None, new))
+        log_probs = log_softmax_values(x @ self._model.out_emb.data.T)
         log_probs.setflags(write=False)
         return log_probs

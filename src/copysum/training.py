@@ -349,7 +349,10 @@ def train(
             loss_sum=round(epoch_total, 6), lr=optimizer.lr,
         )
         if valid_batches:  # a draw that selected nothing has no loss to compare
-            val_sum = sum(compute_loss(model, *b, reduction="sum").item() for b in valid_batches)
+            # compute_loss(..., "sum") without a graph: the same states, logits and sums
+            val_sum = sum(ad.cross_entropy_from_logits(Tensor(model.forward_values(
+                replace(b, ids=ids), b.attention_mask(), r.positions) @ model.out_emb.data.T),
+                r.original_ids, "sum").item() for b, ids, r in valid_batches)
             val_mean = val_sum / sum(len(b[2].positions) for b in valid_batches)
             report.log(
                 epoch=epoch, split="valid", loss_mean=round(val_mean, 6),

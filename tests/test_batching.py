@@ -13,19 +13,23 @@ import numpy as np
 import pytest
 
 from copysum import autodiff as ad
+from copysum import training
 from copysum.bpe import train_bpe
 from copysum.decoding import make_model_scorer
 from copysum.errors import NumericError
-from copysum.model import MASK_BIAS, ModelConfig, PrefixLM, build_attention_mask
+from copysum.model import MASK_BIAS, ModelConfig, PrefixLM, PromptCache, build_attention_mask
 from copysum.optim import AdamW
 from copysum.seeding import named_rng
 from copysum.training import (
     TrainConfig,
     TrainingExample,
+    TrainReport,
+    _batches,
     build_joint_sequence,
     categorize_tokens,
     collate,
     compute_loss,
+    prepare_sequences,
     sample_and_corrupt,
     sampling_preset,
     train,
@@ -283,6 +287,102 @@ def test_training_and_decoding_share_one_attention_kernel(monkeypatch):
     after = run()
     assert after[0] != before[0]
     assert not np.array_equal(after[1], before[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+def test_forward_values_equals_the_graph_forwards_rows_bit_for_bit(preset, seed):
+    """``forward_values`` returns ``forward(…, rows=r).data`` (``==``) on a
+    random ragged batch, for the selected rows, random rows and repeated
+    rows; the graph forward runs without dropout, and ``forward_values``
+    has none."""
+    pick = np.random.default_rng([seed, int(preset == "desk"), 22])
+    vocab, examples = _examples(int(pick.integers(6, 15)), seed=int(pick.integers(1000)))
+    items = _corrupted(vocab, examples, seed=int(pick.integers(1000)))
+    items = [items[i] for i in pick.permutation(len(items))[: int(pick.integers(1, 9))]]
+    batch, corrupted, record = collate(items)
+    inputs = replace(batch, ids=corrupted)
+    mask = inputs.attention_mask()
+    model = _model(vocab, dropout=0.1, preset=preset, seed=seed)
+    random_rows = pick.permutation(batch.ids.size)[: int(pick.integers(1, batch.ids.size + 1))]
+    for rows in (record.positions, random_rows, np.repeat(random_rows[:3], 3)):
+        values = model.forward_values(inputs, mask, rows)
+        assert values.shape == (len(rows), model.config.hidden_size)
+        assert np.array_equal(values, model.forward(inputs, mask, rows=rows).data)
+
+
+def _validation_losses(model, vocab, examples, monkeypatch, epochs=1):
+    """The unrounded validation losses of a ``train`` run at lr 0, so that the
+    weights never move: one per validation batch and epoch, as the loss op
+    returned them. Returns them with the run's report."""
+    losses = []
+    cross_entropy = ad.cross_entropy_from_logits
+
+    def recorded(logits, targets, reduction="mean"):
+        loss = cross_entropy(logits, targets, reduction)
+        if reduction == "sum":  # training steps take the mean
+            losses.append(loss.item())
+        return loss
+
+    config = TrainConfig(epochs=epochs, batch_size=4, lr=0.0, seed=6)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "cross_entropy_from_logits", recorded)
+        report = train(model, examples[:8], examples[8:], sampling_preset("case-g"), config,
+                       vocab)
+    return losses, report
+
+
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+def test_validation_loss_is_the_summed_graph_loss(corpus, monkeypatch, preset):
+    """``train``'s ``valid`` rows sum ``compute_loss(…, reduction="sum")`` over
+    the same validation batches, batch by batch to the bit."""
+    vocab, examples = corpus
+    model = _model(vocab, preset=preset)
+    losses, report = _validation_losses(model, vocab, examples, monkeypatch, epochs=2)
+    seqs = prepare_sequences(examples[8:], vocab, model.config.max_positions, TrainReport())
+    batches = [collated for collated, _ in _batches(
+        seqs, np.arange(len(seqs)), 4, sampling_preset("case-g"),
+        named_rng(6, "valid-corruption"), vocab) if collated is not None]
+    expected = [compute_loss(model, *b, reduction="sum").item() for b in batches]
+    assert len(batches) == 1 and losses == expected * 2
+    valid = [r for r in report.records if r["split"] == "valid"]
+    assert [r["loss_sum"] for r in valid] == [round(sum(expected), 6)] * 2
+
+
+def test_validation_and_decoding_share_one_layer_loop(corpus, monkeypatch):
+    """Scaling ``PrefixLM.run_layers``'s states moves a validation loss and a
+    decode scorer row both: neither path has a layer loop of its own."""
+    vocab, examples = corpus
+    model = _model(vocab, preset="desk")
+
+    def run():
+        losses, _ = _validation_losses(model, vocab, examples, monkeypatch)
+        scorer = make_model_scorer(model, vocab, examples[0].source_ids)
+        assert isinstance(scorer, PromptCache)
+        return losses, scorer((int(examples[0].summary_ids[0]),))
+
+    before = run()
+    run_layers = PrefixLM.run_layers
+    monkeypatch.setattr(PrefixLM, "run_layers",
+                        lambda self, *args: run_layers(self, *args) * 1.0000001)
+    after = run()
+    assert after[0] and all(a != b for a, b in zip(after[0], before[0]))
+    assert not np.array_equal(after[1], before[1])
+
+
+def test_compute_loss_runs_once_per_training_step_and_never_for_validation(corpus, monkeypatch):
+    """Work count: a 2-epoch run with a validation set builds one graph per step."""
+    vocab, examples = corpus
+    losses, steps = [], []
+    compute = training.compute_loss
+    step = AdamW.step
+    monkeypatch.setattr(training, "compute_loss",
+                        lambda *args, **kw: losses.append(1) or compute(*args, **kw))
+    monkeypatch.setattr(AdamW, "step", lambda self: steps.append(1) or step(self))
+    report = train(_model(vocab), examples[:8], examples[8:], sampling_preset("case-g"),
+                   TrainConfig(epochs=2, batch_size=4, seed=6), vocab)
+    assert [r["split"] for r in report.records] == ["train", "valid"] * 2
+    assert len(losses) == len(steps) == 2 * 2  # 8 training examples, batches of 4
 
 
 def test_desk_batch_graph_size_does_not_grow_with_batch():

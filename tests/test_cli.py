@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from copysum.bpe import Vocabulary, train_bpe
+from copysum.checkpoint import save_checkpoint
 from copysum.cli import _merge_options, build_parser, main
 from copysum.data import SynthConfig, synth_generate, write_pairs
 from copysum.model import ModelConfig, PrefixLM
@@ -495,6 +497,31 @@ class TestBadInputFiles:
         rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: ")
+
+    def test_vocab_count_in_unicode_digits(self, tmp_path, capsys):
+        """"²" is a digit to ``str.isdigit`` but not to ``int``."""
+        lines = (FIXTURES / "vocab.txt").read_text(encoding="utf-8").split("\n")
+        assert lines[2].startswith("#tokens ")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join([*lines[:2], "#tokens ²", *lines[3:]]), encoding="utf-8")
+        rc, err = self.decode(tmp_path, capsys, FIXTURES / "checkpoint.bin", vocab)
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {vocab}: line 3: ")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("name, value", [("num_layers", 2.0), ("num_heads", True)])
+    def test_checkpoint_with_a_dimension_that_is_not_an_integer(self, tmp_path, capsys, name,
+                                                                value):
+        """JSON's 2.0 and true are refused, not run as 2 layers and 1 head."""
+        vocab = Vocabulary.load(FIXTURES / "vocab.txt")
+        model = PrefixLM(ModelConfig.preset("tiny", vocab_size=len(vocab), max_positions=160))
+        ckpt = tmp_path / "odd.bin"
+        save_checkpoint(ckpt, {key: p.data for key, p in model.params.items()},
+                        {"schema_version": 1, "model_config": {**asdict(model.config), name: value}})
+        rc, err = self.decode(tmp_path, capsys, ckpt, FIXTURES / "vocab.txt")
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {ckpt}: ")
+        assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("extra", [4, -4])
     def test_vocab_of_another_size_than_the_checkpoint(self, tmp_path, capsys, extra):
